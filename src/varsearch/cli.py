@@ -147,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sel.add_argument("--no-constant", action="store_true")
     _add_budget_flags(p_sel, budget_required=False)
-    p_sel.add_argument(
-        "--workers", type=int, default=1, help="processes for candidate evaluation"
-    )
     _add_report_flags(p_sel)
     p_sel.set_defaults(handler=_cmd_select)
 
@@ -293,11 +290,11 @@ def _cmd_select(args) -> int:
         budget = None
         if args.budget is not None:
             budget = SearchBudget(args.budget, args.stagnation, args.seed)
-        result = exhaustive_search(ds, space, kind, budget, workers=args.workers)
+        result = exhaustive_search(ds, space, kind, budget)
     else:
         budget_value = args.budget if args.budget is not None else _DEFAULT_BUDGET
         budget = SearchBudget(budget_value, args.stagnation, args.seed)
-        result = _ENGINES[method](ds, space, kind, budget, workers=args.workers)
+        result = _ENGINES[method](ds, space, kind, budget)
     run_config = RunConfig(
         "select",
         {

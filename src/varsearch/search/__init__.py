@@ -6,7 +6,7 @@ from .space import (
     SearchSpace,
     enumerate_space,
 )
-from .evaluation import derive_candidate_seed, evaluate_config, parallel_evaluate
+from .evaluation import derive_candidate_seed, evaluate_config
 from .engines import (
     exhaustive_search,
     ga_search,
@@ -30,7 +30,6 @@ __all__ = [
     "enumerate_space",
     "derive_candidate_seed",
     "evaluate_config",
-    "parallel_evaluate",
     "exhaustive_search",
     "ga_search",
     "grasp_search",

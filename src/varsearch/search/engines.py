@@ -4,12 +4,16 @@ One exact method (exhaustive) and five metaheuristics (genetic algorithm,
 tabu search, GRASP, scatter search, and a GRASP+tabu hybrid).  All engines
 share the same accounting rules:
 
-* the budget counts least-squares fits of distinct candidates; revisiting
-  a cached candidate is free,
+* the budget counts distinct candidates scored, not least-squares fits;
+  revisiting a cached candidate is free,
 * candidates are compared by the key (criterion value, parameter count,
   genome order), so ties prefer smaller models and then earlier genomes,
 * every random draw comes from streams derived from the master seed alone,
-  so results do not depend on worker count or timing.
+  so results do not depend on timing.
+
+Candidates are scored by ``CrossProductEvaluator``, which returns the
+criterion value pivoted QR would give wherever that could change a
+comparison.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from ..criteria import CriterionKind
 from ..errors import EmptySpaceError, TooLargeError
 from ..model import TimeSeriesDataset
-from .evaluation import derive_candidate_seed, evaluate_config, parallel_evaluate
+from .evaluation import CrossProductEvaluator, derive_candidate_seed
 from .space import SearchBudget, SearchResult, SearchSpace, enumerate_space
 
 __all__ = [
@@ -120,18 +124,18 @@ class _SearchStop(Exception):
 
 
 class _SearchRun:
-    """Shared bookkeeping: cache, budget, best tracking, stagnation."""
+    """Shared bookkeeping: scores, budget, best tracking, stagnation."""
 
-    def __init__(self, ds, space, kind, budget, workers=1):
+    def __init__(self, ds, space, kind, budget):
         self.ds = ds
         self.space = space
-        self.kind = kind
         self.budget = budget
-        self.workers = max(1, int(workers))
-        self.cache = {}
+        self.evaluator = CrossProductEvaluator(ds, space, kind)
+        self.cache = self.evaluator.values
         self.evaluations_used = 0
         self.best_key = None
         self.best_genome = None
+        self.best_fit = None
         self.trajectory = []
         self.candidate_log = []
         self.stagnation = 0
@@ -142,23 +146,24 @@ class _SearchRun:
 
     def key_of(self, genome) -> tuple:
         order = self.space.genome_order_key(genome)
-        value, fit_result = self.cache[order]
-        n_params = fit_result.n_params if fit_result is not None else math.inf
+        value, n_params = self.cache[order]
         return (value, n_params, order)
 
     def value_of(self, genome) -> float:
         return self.cache[self.space.genome_order_key(genome)][0]
 
-    def _record(self, genome, order, value, fit_result):
-        self.evaluations_used += 1
-        self.cache[order] = (value, fit_result)
+    def _score(self, genome, order):
+        """Score one fresh candidate and record it; may stop the search."""
         cfg = self.space.config_from_genome(genome, self.ds)
+        best_value = self.best_key[0] if self.best_key is not None else None
+        value, n_params, fit_result = self.evaluator.evaluate(cfg, order, best_value)
+        self.evaluations_used += 1
         self.candidate_log.append((cfg, value))
-        n_params = fit_result.n_params if fit_result is not None else math.inf
         key = (value, n_params, order)
         if self.best_key is None or key < self.best_key:
             self.best_key = key
             self.best_genome = genome
+            self.best_fit = fit_result
             self.trajectory.append((self.evaluations_used, value))
             self.stagnation = 0
         else:
@@ -169,40 +174,15 @@ class _SearchRun:
             raise _SearchStop
 
     def evaluate_batch(self, genomes) -> None:
-        """Score genomes, skipping cached ones, preserving genome order.
+        """Score the uncached genomes one at a time, in batch order.
 
-        Fresh candidates beyond the remaining budget are dropped; results
-        are recorded in batch order so the outcome is identical for any
-        worker count.
+        A stop (budget or stagnation) ends the batch at once, so no
+        candidate is scored that the search does not record.
         """
-        fresh = []
-        seen = set()
         for genome in genomes:
             order = self.space.genome_order_key(genome)
-            if order in self.cache or order in seen:
-                continue
-            seen.add(order)
-            fresh.append((genome, order))
-        if not fresh:
-            return
-        remaining = self.budget.max_evaluations - self.evaluations_used
-        if remaining <= 0:
-            raise _SearchStop
-        truncated = len(fresh) > remaining
-        fresh = fresh[:remaining]
-        common = self.space.common_row_start
-        if self.workers > 1 and len(fresh) > 1:
-            cfgs = [self.space.config_from_genome(g, self.ds) for g, _ in fresh]
-            scored = parallel_evaluate(cfgs, self.ds, self.kind, self.workers, common)
-        else:
-            scored = []
-            for genome, _ in fresh:
-                cfg = self.space.config_from_genome(genome, self.ds)
-                scored.append(evaluate_config(self.ds, cfg, self.kind, common))
-        for (genome, order), (value, fit_result) in zip(fresh, scored):
-            self._record(genome, order, value, fit_result)
-        if truncated:
-            raise _SearchStop
+            if order not in self.cache:
+                self._score(genome, order)
 
     def evaluate(self, genome) -> float:
         self.evaluate_batch([genome])
@@ -217,9 +197,7 @@ class _SearchRun:
     def finalize(self, method: str) -> SearchResult:
         if self.best_genome is None:
             raise EmptySpaceError("no candidate could be evaluated")
-        order = self.space.genome_order_key(self.best_genome)
-        value, fit_result = self.cache[order]
-        if fit_result is None:
+        if self.best_fit is None:
             raise EmptySpaceError(
                 "no valid configuration found within the evaluation budget"
             )
@@ -227,8 +205,8 @@ class _SearchRun:
         skipped = sum(1 for _, v in self.candidate_log if math.isinf(v) and v > 0)
         return SearchResult(
             best_config=cfg,
-            best_fit=fit_result,
-            best_value=value,
+            best_fit=self.best_fit,
+            best_value=self.best_key[0],
             evaluations_used=self.evaluations_used,
             trajectory=list(self.trajectory),
             candidate_log=list(self.candidate_log),
@@ -315,7 +293,6 @@ def exhaustive_search(
     space: SearchSpace,
     kind: CriterionKind,
     budget: SearchBudget | None = None,
-    workers: int = 1,
 ) -> SearchResult:
     """Evaluate every valid configuration; exact but bounded.
 
@@ -343,7 +320,7 @@ def exhaustive_search(
     effective_budget = budget or SearchBudget(
         max_evaluations=len(configs), stagnation_limit=max(200, len(configs) + 1)
     )
-    run = _SearchRun(ds, space, kind, effective_budget, workers)
+    run = _SearchRun(ds, space, kind, effective_budget)
     # stagnation must not cut an exhaustive sweep short
     run.budget = SearchBudget(
         max_evaluations=effective_budget.max_evaluations,
@@ -364,7 +341,6 @@ def ga_search(
     kind: CriterionKind,
     budget: SearchBudget,
     params: GAParams | None = None,
-    workers: int = 1,
 ) -> SearchResult:
     """Generational genetic algorithm with tournament selection.
 
@@ -372,7 +348,7 @@ def ga_search(
     to the population size returns the best of the initial population.
     """
     params = params or GAParams()
-    run = _SearchRun(ds, space, kind, budget, workers)
+    run = _SearchRun(ds, space, kind, budget)
     init_rng = run.rng(_STREAM_INIT)
     ops_rng = run.rng(_STREAM_OPS)
     n_bits = space.n_bits
@@ -437,7 +413,6 @@ def tabu_search(
     kind: CriterionKind,
     budget: SearchBudget,
     params: TabuParams | None = None,
-    workers: int = 1,
 ) -> SearchResult:
     """Best-neighbor tabu search with recency tabus and aspiration.
 
@@ -447,7 +422,7 @@ def tabu_search(
     is taken anyway.
     """
     params = params or TabuParams()
-    run = _SearchRun(ds, space, kind, budget, workers)
+    run = _SearchRun(ds, space, kind, budget)
     init_rng = run.rng(_STREAM_INIT)
     try:
         current = _sample_distinct(space, init_rng, 1)[0]
@@ -539,11 +514,10 @@ def grasp_search(
     kind: CriterionKind,
     budget: SearchBudget,
     params: GraspParams | None = None,
-    workers: int = 1,
 ) -> SearchResult:
     """Multistart GRASP: randomized construction plus steepest descent."""
     params = params or GraspParams()
-    run = _SearchRun(ds, space, kind, budget, workers)
+    run = _SearchRun(ds, space, kind, budget)
     try:
         round_index = 0
         while True:
@@ -589,7 +563,6 @@ def scatter_search(
     kind: CriterionKind,
     budget: SearchBudget,
     params: ScatterParams | None = None,
-    workers: int = 1,
 ) -> SearchResult:
     """Scatter search over a small reference set.
 
@@ -600,7 +573,7 @@ def scatter_search(
     larger than the reference set is swept exhaustively instead.
     """
     params = params or ScatterParams()
-    run = _SearchRun(ds, space, kind, budget, workers)
+    run = _SearchRun(ds, space, kind, budget)
     try:
         if space.raw_size() <= params.ref_size:
             run.evaluate_batch(list(space.iter_genomes()))
@@ -660,7 +633,6 @@ def hybrid_search(
     kind: CriterionKind,
     budget: SearchBudget,
     params: HybridParams | None = None,
-    workers: int = 1,
 ) -> SearchResult:
     """GRASP construction feeding a tabu improvement phase.
 
@@ -669,7 +641,7 @@ def hybrid_search(
     cleared between rounds.
     """
     params = params or HybridParams()
-    run = _SearchRun(ds, space, kind, budget, workers)
+    run = _SearchRun(ds, space, kind, budget)
     share = params.construction_share
     multiplier = (1.0 - share) / share
     try:

@@ -126,8 +126,8 @@ class SearchSpace:
 class SearchBudget:
     """Evaluation budget and seed shared by all search engines.
 
-    ``max_evaluations`` counts least-squares fits of distinct candidates;
-    repeat visits are served from a cache for free.  ``stagnation_limit``
+    ``max_evaluations`` counts distinct candidates scored; repeat visits
+    are served from a cache for free.  ``stagnation_limit``
     stops a search after that many evaluations without improvement.
     """
 
@@ -149,8 +149,10 @@ class SearchResult:
     """Outcome of one search run.
 
     ``trajectory`` lists (evaluation index, best-so-far value) at each
-    improvement, so its values are non-increasing.  ``candidate_log``
-    records every evaluated candidate in evaluation order.
+    improvement, so its values are non-increasing; they and ``best_value``
+    are pivoted-QR values.  ``candidate_log`` records every scored
+    candidate in evaluation order with the value it was ranked by, which
+    lies within 1e-9 of its QR value.
     """
 
     best_config: ModelConfig

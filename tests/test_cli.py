@@ -137,20 +137,12 @@ class TestSelect:
         assert rc == 0
         assert "method = exhaustive" in capsys.readouterr().out
 
-    def test_worker_count_does_not_change_report_bytes(self, noisy_csv, tmp_path):
-        outputs = []
-        for workers in ("1", "4"):
-            target = tmp_path / f"w{workers}.json"
-            rc = cli_main(
-                [
-                    "select", "--input", noisy_csv, "--p-max", "4",
-                    "--method", "scatter", "--budget", "25", "--seed", "7",
-                    "--workers", workers, "--out-json", str(target),
-                ]
-            )
-            assert rc == 0
-            outputs.append(target.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_workers_flag_removed(self, noisy_csv, capsys):
+        rc = cli_main(
+            ["select", "--input", noisy_csv, "--p-max", "2", "--workers", "2"]
+        )
+        assert rc == 1
+        assert "--workers" in capsys.readouterr().err
 
     def test_search_partition_flag(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

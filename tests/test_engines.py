@@ -1,4 +1,4 @@
-"""Configuration search engines: exhaustive oracle, metaheuristics, parallelism."""
+"""Configuration search engines: exhaustive oracle, metaheuristics, scoring."""
 
 import math
 
@@ -20,15 +20,18 @@ from varsearch import (
     TooLargeError,
     derive_candidate_seed,
     enumerate_space,
+    evaluate_config,
     exhaustive_search,
     fit,
     ga_search,
     grasp_search,
     hybrid_search,
-    parallel_evaluate,
     scatter_search,
     tabu_search,
 )
+
+from varsearch.search import evaluation
+from varsearch.search.evaluation import CrossProductEvaluator
 
 from .conftest import make_dataset, noisy_dataset
 
@@ -282,42 +285,98 @@ class TestParamValidation:
             HybridParams(construction_share=1.0)
 
 
-class TestParallelEvaluate:
-    def test_worker_count_does_not_change_results(self):
+class TestCandidateScoring:
+    def test_evaluate_config_matches_fit(self):
         ds, space = small_space_problem()
-        configs = enumerate_space(space, ds)[:40]
-        serial = parallel_evaluate(configs, ds, CriterionKind.AIC, workers=1)
-        parallel = parallel_evaluate(configs, ds, CriterionKind.AIC, workers=8)
-        assert len(serial) == len(parallel) == len(configs)
-        for (v1, _), (v2, _) in zip(serial, parallel):
-            assert v1 == v2
+        for cfg in enumerate_space(space, ds)[:10]:
+            value, _ = evaluate_config(ds, cfg, CriterionKind.AIC, common_row_start=5)
+            assert value == fit(ds, cfg, row_start=5).criterion(CriterionKind.AIC)
 
-    def test_results_in_candidate_order(self):
-        ds, space = small_space_problem()
-        configs = enumerate_space(space, ds)[:10]
-        results = parallel_evaluate(
-            configs, ds, CriterionKind.AIC, workers=4, common_row_start=5
-        )
-        for cfg, (value, _) in zip(configs, results):
-            direct = fit(ds, cfg, row_start=5)
-            assert value == direct.criterion(CriterionKind.AIC)
-
-    def test_failed_candidate_reported_in_slot(self):
+    def test_failed_candidate_is_inf_without_fit(self):
         ds = make_dataset(np.arange(12.0))
-        good = ModelConfig(p=1, q=0, dependent_mask=(True,))
         bad = ModelConfig(p=9, q=0, dependent_mask=(True,))  # leaves T' < K + 1
-        results = parallel_evaluate([good, bad, good], ds, CriterionKind.AIC, workers=2)
-        assert results[0][0] == results[2][0]
-        assert results[1] == (math.inf, None)
+        assert evaluate_config(ds, bad, CriterionKind.AIC) == (math.inf, None)
 
-    def test_empty_candidates(self):
-        ds = make_dataset(np.arange(10.0))
-        assert parallel_evaluate([], ds, CriterionKind.AIC, workers=4) == []
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_screened_values_within_tolerance_of_qr(self, kind):
+        ds, space = small_space_problem()
+        evaluator = CrossProductEvaluator(ds, space, kind)
+        screened = 0
+        for cfg in enumerate_space(space, ds):
+            got = evaluator._screen(cfg, cfg.n_design_columns())
+            want, _ = evaluate_config(ds, cfg, kind, space.common_row_start)
+            if got is not None:
+                screened += 1
+                assert abs(got[0] - want) <= min(got[1], 1e-9)
+        assert screened > 0
 
-    def test_bad_worker_count(self):
-        ds = make_dataset(np.arange(10.0))
-        with pytest.raises(ValueError):
-            parallel_evaluate([], ds, CriterionKind.AIC, workers=0)
+    def test_qr_value_inside_a_screened_interval_refits_it(self):
+        # the same configuration under two order keys: the second one's
+        # interval meets the first, so QR scores it, and its QR value lies
+        # inside the first one's interval, so the first is refitted too
+        ds, space = small_space_problem()
+        cfg = enumerate_space(space, ds)[7]
+        evaluator = CrossProductEvaluator(ds, space, CriterionKind.AIC)
+        screened, _, fit_result = evaluator.evaluate(cfg, "first", -1e9)
+        assert fit_result is None
+        value, _, fit_result = evaluator.evaluate(cfg, "second", -1e9)
+        assert fit_result is not None
+        assert evaluator.values["first"][0] == value != screened
+        assert evaluator.qr_fits == 2
+
+    def test_best_value_and_fit_come_from_qr(self):
+        ds, space = small_space_problem()
+        result = exhaustive_search(ds, space, CriterionKind.BIC)
+        value, best_fit = evaluate_config(
+            ds, result.best_config, CriterionKind.BIC, space.common_row_start
+        )
+        assert result.best_value == value
+        assert np.array_equal(result.best_fit.residuals, best_fit.residuals)
+        for index, trajectory_value in result.trajectory:
+            cfg, logged = result.candidate_log[index - 1]
+            assert logged == trajectory_value
+            assert trajectory_value == evaluate_config(
+                ds, cfg, CriterionKind.BIC, space.common_row_start
+            )[0]
+
+    def test_qr_certifies_a_minority_of_candidates(self, monkeypatch):
+        ds, space = small_space_problem()
+        calls = []
+        original = evaluation.evaluate_config
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "evaluate_config", counting)
+        result = exhaustive_search(ds, space, CriterionKind.AIC)
+        assert len(result.trajectory) <= len(calls) < result.evaluations_used / 2
+
+    @pytest.mark.parametrize(
+        "budget, stop",
+        [
+            (SearchBudget(7, master_seed=3), "budget"),
+            (SearchBudget(200, stagnation_limit=5, master_seed=3), "stagnation"),
+        ],
+    )
+    def test_scored_candidates_equal_evaluations_used(self, monkeypatch, budget, stop):
+        # a GA generation is one batch of 20 genomes; either limit stops
+        # the search inside a batch
+        ds, space = small_space_problem()
+        scored = []
+        original = CrossProductEvaluator.evaluate
+
+        def counting(self, cfg, order, best_value):
+            scored.append(order)
+            return original(self, cfg, order, best_value)
+
+        monkeypatch.setattr(CrossProductEvaluator, "evaluate", counting)
+        result = ga_search(ds, space, CriterionKind.AIC, budget)
+        assert len(scored) == len(set(scored)) == result.evaluations_used
+        if stop == "budget":
+            assert result.evaluations_used == budget.max_evaluations
+        else:
+            assert result.evaluations_used < budget.max_evaluations
 
 
 class TestSeedDerivation:
