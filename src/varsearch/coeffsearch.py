@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .criteria import CriterionKind, criterion_from_log_det, log_det_cov
 from .design import build_regression_system
-from .errors import VarsearchError
+from .errors import NumericOverflowError, VarsearchError
 from .model import CoefficientSet, ModelConfig, TimeSeriesDataset
 from .ols import DEGENERATE_RTOL, fit, solve_least_squares, unflatten_coefficients
 from .search.evaluation import derive_candidate_seed
@@ -118,6 +118,9 @@ class CoeffSearchOutcome:
     method: str = ""
     criterion: str = ""
     config: ModelConfig = None
+    # the searched regression system; compare_with_ols scores the OLS
+    # solution on it instead of building it again
+    _problem: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -145,7 +148,11 @@ class ComparisonReport:
 
 
 class _CoeffProblem:
-    """Fixed regression system plus fitness and scale information."""
+    """Fixed regression system plus fitness and scale information.
+
+    Raises ``NumericOverflowError`` when ||Y|| is not finite: the fitness's
+    perfect-fit test would otherwise score every candidate -inf.
+    """
 
     def __init__(
         self,
@@ -159,12 +166,15 @@ class _CoeffProblem:
         self.ds = ds
         self.kind = kind
         self.n_theta = self.system.n_columns * self.system.n_dependent
+        with np.errstate(over="ignore"):
+            self._y_norm = float(np.linalg.norm(self.system.y))
+        if not math.isfinite(self._y_norm):
+            raise NumericOverflowError()
         y_scale = float(np.linalg.norm(self.system.y, axis=0).max())
         x_scale = float(np.linalg.norm(self.system.x, axis=0).max())
         scale = y_scale / x_scale if x_scale > 0 and y_scale > 0 else 1.0
         self.init_radius = 3.0 * scale
         self.sigma_mut = 0.1 * scale
-        self._y_norm = float(np.linalg.norm(self.system.y))
 
     def fitness(self, theta: np.ndarray) -> float:
         if not np.all(np.isfinite(theta)):
@@ -186,16 +196,6 @@ class _CoeffProblem:
         )
 
 
-@lru_cache(maxsize=64)
-def _cached_problem(
-    ds: TimeSeriesDataset,
-    cfg: ModelConfig,
-    kind: CriterionKind,
-    common_row_start: int | None,
-) -> _CoeffProblem:
-    return _CoeffProblem(ds, cfg, kind, common_row_start)
-
-
 def coefficient_fitness(
     ds: TimeSeriesDataset,
     genome: CoefficientGenome,
@@ -204,14 +204,14 @@ def coefficient_fitness(
 ) -> float:
     """Criterion value of an arbitrary coefficient genome.
 
-    The regression system is built once per configuration and cached, so
-    repeated calls with different ``theta`` values only pay for the
-    residual computation.  The parameter count charged is the genome
-    length, which is constant for a fixed configuration; ranking by this
-    fitness therefore matches ranking by the residual log-determinant.
-    Non-finite candidates score +infinity rather than raising.
+    Each call builds the configuration's regression system; the searches
+    build it once and score every candidate against it.  The parameter
+    count charged is the genome length, which is constant for a fixed
+    configuration; ranking by this fitness therefore matches ranking by
+    the residual log-determinant.  Non-finite candidates score +infinity
+    rather than raising.
     """
-    problem = _cached_problem(ds, genome.config, kind, common_row_start)
+    problem = _CoeffProblem(ds, genome.config, kind, common_row_start)
     return problem.fitness(genome.theta)
 
 
@@ -460,6 +460,7 @@ _COEFF_ENGINES = {
 }
 
 
+@one_blas_thread()
 def search_coefficients_full(
     ds: TimeSeriesDataset,
     cfg: ModelConfig,
@@ -481,7 +482,7 @@ def search_coefficients_full(
     except _CoeffStop:
         pass
     coefficients = unflatten_coefficients(run.best_theta, cfg, ds)
-    return CoeffSearchOutcome(
+    outcome = CoeffSearchOutcome(
         coefficients=coefficients,
         theta=run.best_theta,
         value=run.best_value,
@@ -491,6 +492,8 @@ def search_coefficients_full(
         criterion=kind.value,
         config=cfg,
     )
+    outcome._problem = problem
+    return outcome
 
 
 def search_coefficients(
@@ -529,6 +532,7 @@ def _criterion_breakdown(problem: _CoeffProblem, theta: np.ndarray) -> dict:
     return out
 
 
+@one_blas_thread()
 def compare_with_ols(
     ds: TimeSeriesDataset,
     cfg: ModelConfig,
@@ -544,7 +548,7 @@ def compare_with_ols(
     """
     ols_fit = fit(ds, cfg)
     outcome = search_coefficients_full(ds, cfg, kind, method, budget, params)
-    problem = _CoeffProblem(ds, cfg, kind)
+    problem = outcome._problem
     theta_ols = ols_fit.coefficients.flatten().reshape(-1)
     ols_value = problem.fitness(theta_ols)
     search_value = outcome.value

@@ -29,6 +29,15 @@ class HQCUndefinedError(VarsearchError):
     """HQC needs ln(ln(T')) > 0, i.e. an effective sample larger than e."""
 
 
+class NumericOverflowError(VarsearchError):
+    """Sums of squares of the data overflow float64."""
+
+    def __init__(self):
+        super().__init__(
+            "sums of squares of the data overflow float64; rescale the observations"
+        )
+
+
 class EmptySpaceError(VarsearchError):
     """No valid configuration exists in the requested search space."""
 

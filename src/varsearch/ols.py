@@ -14,9 +14,15 @@ import math
 import numpy as np
 import scipy.linalg
 
+from ._blas import one_blas_thread
 from .criteria import CriterionKind, criterion_from_log_det, log_det_cov
 from .design import RegressionSystem, build_regression_system
-from .errors import HQCUndefinedError, RankDeficientError, ValidationError
+from .errors import (
+    HQCUndefinedError,
+    NumericOverflowError,
+    RankDeficientError,
+    ValidationError,
+)
 from .model import (
     CoefficientSet,
     FitResult,
@@ -129,6 +135,7 @@ def _criterion_map(log_det: float, n_params: int, effective_t: int) -> dict:
     return values
 
 
+@one_blas_thread()
 def fit(ds: TimeSeriesDataset, cfg: ModelConfig, row_start=None) -> FitResult:
     """Estimate one configuration by OLS and score it under all criteria.
 
@@ -143,15 +150,24 @@ def fit(ds: TimeSeriesDataset, cfg: ModelConfig, row_start=None) -> FitResult:
     Raises
     ------
     ValidationError, RankDeficientError
+    NumericOverflowError
+        When ||Y||, ||E|| or the residual covariance is not finite; the
+        perfect-fit test below would otherwise compare inf with inf.
     """
     sys = build_regression_system(ds, cfg, row_start=row_start)
+    with np.errstate(over="ignore"):
+        y_norm = float(np.linalg.norm(sys.y))
+    if not math.isfinite(y_norm):
+        raise NumericOverflowError()
     theta = solve_least_squares(sys)
-    residuals, sigma = residual_covariance(sys, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals, sigma = residual_covariance(sys, theta)
+        resid_norm = float(np.linalg.norm(residuals))
+    if not (math.isfinite(resid_norm) and np.all(np.isfinite(sigma))):
+        raise NumericOverflowError()
     effective_t = sys.effective_t
     n_params = cfg.n_dependent * cfg.n_design_columns()
 
-    resid_norm = float(np.linalg.norm(residuals))
-    y_norm = float(np.linalg.norm(sys.y))
     degenerate = resid_norm <= DEGENERATE_RTOL * y_norm
     log_det = -math.inf if degenerate else log_det_cov(sigma)
     if log_det == -math.inf:

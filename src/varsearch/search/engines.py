@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._blas import one_blas_thread
 from ..criteria import CriterionKind
 from ..errors import EmptySpaceError, TooLargeError
 from ..model import TimeSeriesDataset
@@ -288,6 +289,7 @@ def _steepest_descent(run: _SearchRun, genome):
             return current
 
 
+@one_blas_thread()
 def exhaustive_search(
     ds: TimeSeriesDataset,
     space: SearchSpace,
@@ -335,6 +337,7 @@ def exhaustive_search(
     return run.finalize("exhaustive")
 
 
+@one_blas_thread()
 def ga_search(
     ds: TimeSeriesDataset,
     space: SearchSpace,
@@ -407,6 +410,7 @@ def ga_search(
     return run.finalize("ga")
 
 
+@one_blas_thread()
 def tabu_search(
     ds: TimeSeriesDataset,
     space: SearchSpace,
@@ -508,6 +512,7 @@ def _grasp_construct(run: _SearchRun, rng: np.random.Generator, alpha: float):
     return current
 
 
+@one_blas_thread()
 def grasp_search(
     ds: TimeSeriesDataset,
     space: SearchSpace,
@@ -557,6 +562,7 @@ def _select_diverse(candidates, refset, count):
     return added
 
 
+@one_blas_thread()
 def scatter_search(
     ds: TimeSeriesDataset,
     space: SearchSpace,
@@ -627,6 +633,7 @@ def scatter_search(
     return run.finalize("scatter")
 
 
+@one_blas_thread()
 def hybrid_search(
     ds: TimeSeriesDataset,
     space: SearchSpace,

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ..criteria import CriterionKind, criterion_from_log_det
-from ..errors import RankDeficientError, ValidationError
+from ..errors import NumericOverflowError, RankDeficientError, ValidationError
 from ..model import ModelConfig, TimeSeriesDataset, structural_violations
 from ..ols import DEGENERATE_RTOL, RANK_RTOL, fit
 
@@ -144,9 +144,16 @@ class CrossProductEvaluator:
 
     ``values`` maps a candidate's genome order key to ``(value, n_params)``;
     ``n_params`` is inf for a candidate without a fit.
+
+    Raises ``NumericOverflowError`` when the sum of squares of the
+    observations overflows float64, as G cannot be formed then.
     """
 
     def __init__(self, ds: TimeSeriesDataset, space, kind: CriterionKind):
+        with np.errstate(over="ignore"):
+            sum_squares = np.einsum("ij,ij->", ds.observations, ds.observations)
+        if not math.isfinite(sum_squares):
+            raise NumericOverflowError()
         self.ds = ds
         self.kind = kind
         self.row_start = space.common_row_start

@@ -68,6 +68,13 @@ class TestExitCodes:
         path.write_text("y\n2\n2\n2\n2\n2\n", encoding="utf-8")
         assert cli_main(["fit", "--input", str(path), "--p", "1"]) == 2
 
+    def test_overflowing_data_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        huge = np.random.default_rng(0).normal(size=(40, 2)) * 1e160
+        write_csv(path, ("y1", "y2"), huge)
+        assert cli_main(["select", "--input", str(path), "--p-max", "2"]) == 2
+        assert "overflow" in capsys.readouterr().err
+
     def test_unknown_partition_column_is_runtime_error(self, noisy_csv):
         rc = cli_main(
             [

@@ -1,10 +1,13 @@
 """Least-squares solver: exactness, rank handling, optimality."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from varsearch import (
     ModelConfig,
+    NumericOverflowError,
     RankDeficientError,
     Role,
     TimeSeriesDataset,
@@ -14,6 +17,8 @@ from varsearch import (
     solve_least_squares,
     unflatten_coefficients,
 )
+
+from varsearch import ols
 
 from .conftest import make_dataset, noisy_dataset
 
@@ -153,6 +158,17 @@ class TestFit:
             first.coefficients.flatten(), second.coefficients.flatten()
         )
         assert first.criterion_values == second.criterion_values
+
+    def test_overflowing_residuals_raise_typed_error(
+        self, counting_series, counting_config
+    ):
+        # ||Y|| is finite here, but E'E of these coefficients overflows
+        def huge(sys):
+            return np.full((sys.x.shape[1], sys.y.shape[1]), 1e300)
+
+        with mock.patch.object(ols, "solve_least_squares", huge):
+            with pytest.raises(NumericOverflowError):
+                fit(counting_series, counting_config)
 
 
 def test_residual_orthogonality():

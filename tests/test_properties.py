@@ -9,6 +9,7 @@ logged candidate value within 1e-9.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,19 +20,25 @@ from hypothesis import strategies as st
 from varsearch import (
     CriterionKind,
     EmptySpaceError,
+    ModelConfig,
+    NumericOverflowError,
     PartitionMode,
     Role,
     SearchBudget,
+    SearchMethod,
     SearchSpace,
     TimeSeriesDataset,
     VarsearchError,
     enumerate_space,
+    compare_with_ols,
     evaluate_config,
     exhaustive_search,
+    fit,
     ga_search,
     grasp_search,
     hybrid_search,
     scatter_search,
+    search_coefficients_full,
     tabu_search,
 )
 from varsearch.search import engines
@@ -178,6 +185,14 @@ def _hostile_data(name):
         obs = var[:3, :1]
         space = SearchSpace(p_max=1, include_constant=False)
         kind = CriterionKind.HQC
+    elif name.startswith("scaled by 1e160"):
+        # sums of squares overflow float64: ||E|| and ||Y|| are both inf
+        obs = np.random.default_rng(0).normal(size=(40, 2)) * 1e160
+        space = SearchSpace(p_max=2, include_constant=name.endswith("with intercept"))
+    elif name == "exogenous column scaled by 1e160":
+        # Y is fine, but the cross products of the exogenous column overflow
+        obs = np.hstack([var[:40], walk[:40, :1] * 1e160])
+        space = SearchSpace(p_max=2, q_max=1, include_constant=False)
     roles = (Role.DEPENDENT,) * 2 + (Role.INDEPENDENT,) * (obs.shape[1] - 2)
     if obs.shape[1] < 2:
         roles = (Role.DEPENDENT,)
@@ -203,3 +218,53 @@ def test_hostile_inputs_give_qr_answer(name, search):
     ds, space, kind = _hostile_data(name)
     budget = None if search is exhaustive_search else SearchBudget(40, 20, 5)
     assert_same_as_qr(search, ds, space, kind, budget)
+
+
+def _config(space):
+    return ModelConfig(p=1, q=0, dependent_mask=(True, True),
+                       include_constant=space.include_constant)
+
+
+def _fit(ds, space, kind):
+    return fit(ds, _config(space))
+
+
+def _coefficient_search(ds, space, kind):
+    return search_coefficients_full(
+        ds, _config(space), kind, SearchMethod.GA, SearchBudget(40, 20, 5)
+    )
+
+
+def _comparison(ds, space, kind):
+    return compare_with_ols(
+        ds, _config(space), kind, SearchMethod.TABU, SearchBudget(40, 20, 5)
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["scaled by 1e160 with intercept", "scaled by 1e160 without intercept"]
+)
+@pytest.mark.parametrize(
+    "run",
+    [exhaustive_search, *ENGINES, _fit, _coefficient_search, _comparison],
+    ids=lambda f: f.__name__,
+)
+def test_overflowing_data_raise_typed_error(name, run):
+    ds, space, kind = _hostile_data(name)
+    args = (ds, space, kind)
+    if run in ENGINES:
+        args += (SearchBudget(40, 20, 5),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError):
+            run(*args)
+
+
+@pytest.mark.parametrize("search", [exhaustive_search] + ENGINES, ids=lambda f: f.__name__)
+def test_overflowing_exogenous_column_raises_typed_error(search):
+    ds, space, kind = _hostile_data("exogenous column scaled by 1e160")
+    budget = () if search is exhaustive_search else (SearchBudget(40, 20, 5),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError):
+            search(ds, space, kind, *budget)
