@@ -4,6 +4,11 @@ Instead of estimating coefficients by least squares, these engines treat
 the flattened coefficient matrix as a continuous genome and minimize the
 same information criterion the estimator reports.  Because the space is
 continuous there is no candidate cache: every fitness call costs budget.
+Budget, stagnation, the best candidate, the trajectory and the random
+streams are kept by the bookkeeper the configuration engines use
+(``search.engines._Run``), the tabu engines take their tabu step
+(``search.engines._tabu_step``), and a candidate's residuals are scored by
+the function ``fit`` scores with.
 
 The point of the module is the comparison: ``compare_with_ols`` runs a
 search and reports its criterion gap against the least-squares solution,
@@ -18,12 +23,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._blas import one_blas_thread
-from .criteria import CriterionKind, criterion_from_log_det, log_det_cov
+from .criteria import CriterionKind, criterion_from_log_det
 from .design import build_regression_system
-from .errors import NumericOverflowError, VarsearchError
+from .errors import VarsearchError
 from .model import CoefficientSet, ModelConfig, TimeSeriesDataset
-from .ols import DEGENERATE_RTOL, fit, solve_least_squares, unflatten_coefficients
-from .search.evaluation import derive_candidate_seed
+from .ols import (
+    _criterion_map,
+    _residual_log_det,
+    _y_norm,
+    fit,
+    solve_least_squares,
+    unflatten_coefficients,
+)
+from .search.engines import (
+    _STREAM_INIT,
+    _STREAM_OPS,
+    _STREAM_ROUND_BASE,
+    _Run,
+    _SearchStop,
+    _tabu_step,
+)
 from .search.space import SearchBudget, SearchMethod
 
 __all__ = [
@@ -36,10 +55,6 @@ __all__ = [
     "search_coefficients_full",
     "compare_with_ols",
 ]
-
-_STREAM_INIT = 0
-_STREAM_OPS = 1
-_STREAM_ROUND_BASE = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,38 +177,35 @@ class _CoeffProblem:
         common_row_start: int | None = None,
     ):
         self.system = build_regression_system(ds, cfg, row_start=common_row_start)
-        self.cfg = cfg
-        self.ds = ds
         self.kind = kind
         self.n_theta = self.system.n_columns * self.system.n_dependent
-        with np.errstate(over="ignore"):
-            self._y_norm = float(np.linalg.norm(self.system.y))
-        if not math.isfinite(self._y_norm):
-            raise NumericOverflowError()
+        self._y_norm = _y_norm(self.system)
         y_scale = float(np.linalg.norm(self.system.y, axis=0).max())
         x_scale = float(np.linalg.norm(self.system.x, axis=0).max())
         scale = y_scale / x_scale if x_scale > 0 and y_scale > 0 else 1.0
         self.init_radius = 3.0 * scale
         self.sigma_mut = 0.1 * scale
 
-    def fitness(self, theta: np.ndarray) -> float:
-        if not np.all(np.isfinite(theta)):
-            return math.inf
+    def _log_det(self, theta: np.ndarray) -> float:
         sysm = self.system
         coef = theta.reshape(sysm.n_columns, sysm.n_dependent)
-        residuals = sysm.y - sysm.x @ coef
-        if not np.all(np.isfinite(residuals)):
-            return math.inf
-        if float(np.linalg.norm(residuals)) <= DEGENERATE_RTOL * self._y_norm:
-            return -math.inf
-        sigma = residuals.T @ residuals / sysm.effective_t
-        sigma = 0.5 * (sigma + sigma.T)
-        if not np.all(np.isfinite(sigma)):
-            return math.inf
-        log_det = log_det_cov(sigma)
+        return _residual_log_det(sysm, coef, self._y_norm)[2]
+
+    def fitness(self, theta: np.ndarray) -> float:
+        """Criterion value; +inf for non-finite residuals, -inf for a perfect fit."""
+        log_det = self._log_det(theta)
+        if math.isinf(log_det):
+            return log_det
         return criterion_from_log_det(
-            self.kind, log_det, self.n_theta, sysm.effective_t
+            self.kind, log_det, self.n_theta, self.system.effective_t
         )
+
+    def criteria(self, theta: np.ndarray) -> dict:
+        """Every criterion's value by name; an undefined HQC is NaN."""
+        values = _criterion_map(
+            self._log_det(theta), self.n_theta, self.system.effective_t
+        )
+        return {kind.value: value for kind, value in values.items()}
 
 
 def coefficient_fitness(
@@ -215,54 +227,16 @@ def coefficient_fitness(
     return problem.fitness(genome.theta)
 
 
-class _CoeffStop(Exception):
-    pass
-
-
-class _CoeffRun:
-    def __init__(self, problem: _CoeffProblem, budget: SearchBudget):
-        self.problem = problem
-        self.budget = budget
-        self.evaluations_used = 0
-        self.best_theta = None
-        self.best_value = math.inf
-        self.trajectory = []
-        self.stagnation = 0
-
-    def rng(self, stream_id: int) -> np.random.Generator:
-        seed = derive_candidate_seed(self.budget.master_seed, stream_id)
-        return np.random.default_rng(seed)
-
-    def evaluate(self, theta: np.ndarray) -> float:
-        if self.evaluations_used >= self.budget.max_evaluations:
-            raise _CoeffStop
-        value = self.problem.fitness(theta)
-        self.evaluations_used += 1
-        if value < self.best_value or self.best_theta is None:
-            self.best_value = value
-            self.best_theta = np.array(theta, dtype=float)
-            self.trajectory.append((self.evaluations_used, value))
-            self.stagnation = 0
-        else:
-            self.stagnation += 1
-            if self.stagnation >= self.budget.stagnation_limit:
-                raise _CoeffStop
-        if self.evaluations_used >= self.budget.max_evaluations:
-            raise _CoeffStop
-        return value
-
-    def evaluate_many(self, thetas) -> list:
-        return [self.evaluate(t) for t in thetas]
-
-
-def _initial_population(run: _CoeffRun, rng, count: int, params: CoeffSearchParams):
+def _initial_population(
+    problem: _CoeffProblem, rng, count: int, params: CoeffSearchParams
+):
     """Zero vector first, then a uniform box sample; optionally the
     least-squares solution."""
-    length = run.problem.n_theta
-    radius = run.problem.init_radius
+    length = problem.n_theta
+    radius = problem.init_radius
     pop = [np.zeros(length)]
     if params.include_ols_start:
-        theta_ols = solve_least_squares(run.problem.system)
+        theta_ols = solve_least_squares(problem.system)
         pop.append(theta_ols.reshape(-1).copy())
     while len(pop) < count:
         pop.append(rng.uniform(-radius, radius, size=length))
@@ -280,13 +254,14 @@ def _coordinate_moves(theta: np.ndarray, step: float):
     return moves
 
 
-def _coordinate_descent(run: _CoeffRun, theta: np.ndarray, value: float):
+def _coordinate_descent(
+    run: _Run, problem: _CoeffProblem, theta: np.ndarray, value: float
+):
     """Steepest coordinate descent with fixed step until no move improves."""
-    step = run.problem.sigma_mut
     current, current_value = theta, value
     while True:
         best_candidate, best_value = None, current_value
-        for _, candidate in _coordinate_moves(current, step):
+        for _, candidate in _coordinate_moves(current, problem.sigma_mut):
             v = run.evaluate(candidate)
             if v < best_value:
                 best_candidate, best_value = candidate, v
@@ -295,14 +270,28 @@ def _coordinate_descent(run: _CoeffRun, theta: np.ndarray, value: float):
         current, current_value = best_candidate, best_value
 
 
-def _coeff_ga(run: _CoeffRun, params: CoeffSearchParams):
+def _coeff_tabu_move(
+    run: _Run, problem: _CoeffProblem, current, tabu_until, iteration, tenure
+):
+    """Score the ±step moves of ``current`` and take one tabu step among them.
+
+    A move's attribute, and the one it abandons, is its coordinate.
+    """
+    moves = [
+        (run.evaluate(candidate), i, i, candidate)
+        for i, candidate in _coordinate_moves(current, problem.sigma_mut)
+    ]
+    return _tabu_step(moves, tabu_until, iteration, tenure, run.best_key)
+
+
+def _coeff_ga(run: _Run, problem: _CoeffProblem, params: CoeffSearchParams):
     rng_init = run.rng(_STREAM_INIT)
     rng = run.rng(_STREAM_OPS)
-    length = run.problem.n_theta
-    sigma = run.problem.sigma_mut
+    length = problem.n_theta
+    sigma = problem.sigma_mut
     mut_rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / length
-    pop = _initial_population(run, rng_init, params.population_size, params)
-    values = run.evaluate_many(pop)
+    pop = _initial_population(problem, rng_init, params.population_size, params)
+    values = [run.evaluate(theta) for theta in pop]
 
     def tournament():
         picks = rng.integers(0, len(pop), size=params.tournament_size)
@@ -325,36 +314,27 @@ def _coeff_ga(run: _CoeffRun, params: CoeffSearchParams):
                 child = child + mask * rng.normal(0.0, sigma, size=length)
             next_pop.append(child)
         pop = next_pop
-        values = run.evaluate_many(pop)
+        values = [run.evaluate(theta) for theta in pop]
 
 
-def _coeff_tabu(run: _CoeffRun, params: CoeffSearchParams):
-    length = run.problem.n_theta
-    step = run.problem.sigma_mut
-    current = np.zeros(length)
+def _coeff_tabu(run: _Run, problem: _CoeffProblem, params: CoeffSearchParams):
+    current = np.zeros(problem.n_theta)
     run.evaluate(current)
     tabu_until = {}
     iteration = 0
     while True:
         iteration += 1
-        scored = []
-        for coord, candidate in _coordinate_moves(current, step):
-            scored.append((run.evaluate(candidate), coord, candidate))
-        allowed = [
-            s
-            for s in scored
-            if tabu_until.get(s[1], 0) < iteration or s[0] < run.best_value
-        ]
-        pool = allowed if allowed else scored
-        value, coord, candidate = min(pool, key=lambda s: s[0])
-        tabu_until[coord] = iteration + params.tenure
-        current = candidate
+        current = _coeff_tabu_move(
+            run, problem, current, tabu_until, iteration, params.tenure
+        )
 
 
-def _grasp_construct_coeff(run: _CoeffRun, rng, params: CoeffSearchParams):
+def _grasp_construct_coeff(
+    run: _Run, problem: _CoeffProblem, rng, params: CoeffSearchParams
+):
     """Place one coordinate at a time from a value grid, RCL-randomized."""
-    length = run.problem.n_theta
-    radius = run.problem.init_radius
+    length = problem.n_theta
+    radius = problem.init_radius
     grid = np.linspace(-radius, radius, params.grasp_grid)
     theta = np.zeros(length)
     for i in range(length):
@@ -370,22 +350,22 @@ def _grasp_construct_coeff(run: _CoeffRun, rng, params: CoeffSearchParams):
     return theta, value
 
 
-def _coeff_grasp(run: _CoeffRun, params: CoeffSearchParams):
-    run.evaluate(np.zeros(run.problem.n_theta))
+def _coeff_grasp(run: _Run, problem: _CoeffProblem, params: CoeffSearchParams):
+    run.evaluate(np.zeros(problem.n_theta))
     round_index = 0
     while True:
         rng = run.rng(_STREAM_ROUND_BASE + round_index)
-        theta, value = _grasp_construct_coeff(run, rng, params)
-        _coordinate_descent(run, theta, value)
+        theta, value = _grasp_construct_coeff(run, problem, rng, params)
+        _coordinate_descent(run, problem, theta, value)
         round_index += 1
 
 
-def _coeff_scatter(run: _CoeffRun, params: CoeffSearchParams):
+def _coeff_scatter(run: _Run, problem: _CoeffProblem, params: CoeffSearchParams):
     rng_init = run.rng(_STREAM_INIT)
     rng = run.rng(_STREAM_OPS)
-    sigma = run.problem.sigma_mut
-    pool = _initial_population(run, rng_init, params.initial_pool_size, params)
-    values = run.evaluate_many(pool)
+    sigma = problem.sigma_mut
+    pool = _initial_population(problem, rng_init, params.initial_pool_size, params)
+    values = [run.evaluate(theta) for theta in pool]
 
     def build_refset(members, member_values):
         order = np.argsort(member_values, kind="stable")
@@ -410,10 +390,10 @@ def _coeff_scatter(run: _CoeffRun, params: CoeffSearchParams):
             for j in range(i + 1, len(refset)):
                 mid = 0.5 * (refset[i] + refset[j])
                 children.append(mid + rng.normal(0.0, 0.5 * sigma, size=mid.size))
-        child_values = run.evaluate_many(children)
+        child_values = [run.evaluate(child) for child in children]
         improved, improved_values = [], []
         for child, value in zip(children, child_values):
-            theta, v = _coordinate_descent(run, child, value)
+            theta, v = _coordinate_descent(run, problem, child, value)
             improved.append(theta)
             improved_values.append(v)
         refset, ref_values = build_refset(
@@ -421,14 +401,13 @@ def _coeff_scatter(run: _CoeffRun, params: CoeffSearchParams):
         )
 
 
-def _coeff_hybrid(run: _CoeffRun, params: CoeffSearchParams):
-    run.evaluate(np.zeros(run.problem.n_theta))
-    step = run.problem.sigma_mut
+def _coeff_hybrid(run: _Run, problem: _CoeffProblem, params: CoeffSearchParams):
+    run.evaluate(np.zeros(problem.n_theta))
     round_index = 0
     while True:
         rng = run.rng(_STREAM_ROUND_BASE + round_index)
         before = run.evaluations_used
-        current, _ = _grasp_construct_coeff(run, rng, params)
+        current, _ = _grasp_construct_coeff(run, problem, rng, params)
         construction_cost = max(1, run.evaluations_used - before)
         allowance = max(1, round(construction_cost * 7.0 / 3.0))
         tabu_until = {}
@@ -436,18 +415,9 @@ def _coeff_hybrid(run: _CoeffRun, params: CoeffSearchParams):
         phase_start = run.evaluations_used
         while run.evaluations_used - phase_start < allowance:
             iteration += 1
-            scored = []
-            for coord, candidate in _coordinate_moves(current, step):
-                scored.append((run.evaluate(candidate), coord, candidate))
-            allowed = [
-                s
-                for s in scored
-                if tabu_until.get(s[1], 0) < iteration or s[0] < run.best_value
-            ]
-            pool = allowed if allowed else scored
-            value, coord, candidate = min(pool, key=lambda s: s[0])
-            tabu_until[coord] = iteration + params.tenure
-            current = candidate
+            current = _coeff_tabu_move(
+                run, problem, current, tabu_until, iteration, params.tenure
+            )
         round_index += 1
 
 
@@ -476,16 +446,16 @@ def search_coefficients_full(
         )
     params = params or CoeffSearchParams()
     problem = _CoeffProblem(ds, cfg, kind)
-    run = _CoeffRun(problem, budget)
+    run = _Run(budget, score=problem.fitness)
     try:
-        _COEFF_ENGINES[method](run, params)
-    except _CoeffStop:
+        _COEFF_ENGINES[method](run, problem, params)
+    except _SearchStop:
         pass
-    coefficients = unflatten_coefficients(run.best_theta, cfg, ds)
+    theta = np.array(run.best, dtype=float)
     outcome = CoeffSearchOutcome(
-        coefficients=coefficients,
-        theta=run.best_theta,
-        value=run.best_value,
+        coefficients=unflatten_coefficients(theta, cfg, ds),
+        theta=theta,
+        value=run.best_key,
         evaluations_used=run.evaluations_used,
         trajectory=list(run.trajectory),
         method=method.value,
@@ -507,29 +477,6 @@ def search_coefficients(
     """Best coefficients found and their criterion value."""
     outcome = search_coefficients_full(ds, cfg, kind, method, budget, params)
     return outcome.coefficients, outcome.value
-
-
-def _criterion_breakdown(problem: _CoeffProblem, theta: np.ndarray) -> dict:
-    sysm = problem.system
-    coef = theta.reshape(sysm.n_columns, sysm.n_dependent)
-    residuals = sysm.y - sysm.x @ coef
-    out = {}
-    y_norm = float(np.linalg.norm(sysm.y))
-    degenerate = float(np.linalg.norm(residuals)) <= DEGENERATE_RTOL * y_norm
-    if degenerate:
-        log_det = -math.inf
-    else:
-        sigma = residuals.T @ residuals / sysm.effective_t
-        sigma = 0.5 * (sigma + sigma.T)
-        log_det = log_det_cov(sigma)
-    for kind in CriterionKind:
-        try:
-            out[kind.value] = criterion_from_log_det(
-                kind, log_det, problem.n_theta, sysm.effective_t
-            )
-        except VarsearchError:
-            out[kind.value] = math.nan
-    return out
 
 
 @one_blas_thread()
@@ -559,8 +506,8 @@ def compare_with_ols(
         gap = search_value - ols_value
     distance = float(np.linalg.norm(outcome.theta - theta_ols))
     per_criterion = {
-        "ols": _criterion_breakdown(problem, theta_ols),
-        "search": _criterion_breakdown(problem, outcome.theta),
+        "ols": problem.criteria(theta_ols),
+        "search": problem.criteria(outcome.theta),
     }
     return ComparisonReport(
         config=cfg,

@@ -125,7 +125,35 @@ def residual_covariance(sys: RegressionSystem, theta: np.ndarray):
     return residuals, sigma
 
 
+def _y_norm(sys: RegressionSystem) -> float:
+    """||Y||_F; raises ``NumericOverflowError`` when it is not finite, as the
+    perfect-fit test would then compare inf with inf."""
+    with np.errstate(over="ignore"):
+        y_norm = float(np.linalg.norm(sys.y))
+    if not math.isfinite(y_norm):
+        raise NumericOverflowError()
+    return y_norm
+
+
+def _residual_log_det(sys: RegressionSystem, theta: np.ndarray, y_norm: float):
+    """Residuals E = Y - X Theta, Sigma = E'E / T' and ln det Sigma.
+
+    ln det Sigma is -inf for a perfect fit, ||E|| <= DEGENERATE_RTOL ||Y||,
+    and +inf when E or Sigma is not finite.  ``fit`` and the coefficient
+    search both score through here, so their values agree bit for bit.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals, sigma = residual_covariance(sys, theta)
+        resid_norm = float(np.linalg.norm(residuals))
+    if not (math.isfinite(resid_norm) and np.all(np.isfinite(sigma))):
+        return residuals, sigma, math.inf
+    if resid_norm <= DEGENERATE_RTOL * y_norm:
+        return residuals, sigma, -math.inf
+    return residuals, sigma, log_det_cov(sigma)
+
+
 def _criterion_map(log_det: float, n_params: int, effective_t: int) -> dict:
+    """Every criterion from one log-determinant; an undefined HQC is NaN."""
     values = {}
     for kind in CriterionKind:
         try:
@@ -151,37 +179,24 @@ def fit(ds: TimeSeriesDataset, cfg: ModelConfig, row_start=None) -> FitResult:
     ------
     ValidationError, RankDeficientError
     NumericOverflowError
-        When ||Y||, ||E|| or the residual covariance is not finite; the
-        perfect-fit test below would otherwise compare inf with inf.
+        When ||Y||, ||E|| or the residual covariance is not finite.
     """
     sys = build_regression_system(ds, cfg, row_start=row_start)
-    with np.errstate(over="ignore"):
-        y_norm = float(np.linalg.norm(sys.y))
-    if not math.isfinite(y_norm):
-        raise NumericOverflowError()
+    y_norm = _y_norm(sys)
     theta = solve_least_squares(sys)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals, sigma = residual_covariance(sys, theta)
-        resid_norm = float(np.linalg.norm(residuals))
-    if not (math.isfinite(resid_norm) and np.all(np.isfinite(sigma))):
+    residuals, sigma, log_det = _residual_log_det(sys, theta, y_norm)
+    if log_det == math.inf:
         raise NumericOverflowError()
-    effective_t = sys.effective_t
     n_params = cfg.n_dependent * cfg.n_design_columns()
-
-    degenerate = resid_norm <= DEGENERATE_RTOL * y_norm
-    log_det = -math.inf if degenerate else log_det_cov(sigma)
-    if log_det == -math.inf:
-        degenerate = True
-    values = _criterion_map(log_det, n_params, effective_t)
     return FitResult(
         config=cfg,
         coefficients=unflatten_coefficients(theta, cfg, ds),
         residuals=residuals,
         sigma=sigma,
-        criterion_values=values,
+        criterion_values=_criterion_map(log_det, n_params, sys.effective_t),
         n_params=n_params,
-        effective_t=effective_t,
+        effective_t=sys.effective_t,
         row_start=sys.row_start,
         log_det=log_det,
-        degenerate=degenerate,
+        degenerate=log_det == -math.inf,
     )

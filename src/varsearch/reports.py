@@ -192,7 +192,7 @@ def _coeff_outcome_payload(outcome: CoeffSearchOutcome, names=None) -> dict:
     }
 
 
-def _forecast_payload(report: ForecastReport) -> dict:
+def _forecast_payload(report: ForecastReport, names=None) -> dict:
     return {
         "horizon": report.horizon,
         "columns": list(report.columns),
@@ -200,7 +200,7 @@ def _forecast_payload(report: ForecastReport) -> dict:
     }
 
 
-def _simulation_payload(report: SimulationReport) -> dict:
+def _simulation_payload(report: SimulationReport, names=None) -> dict:
     return {
         "names": list(report.names),
         "t": report.t,
@@ -210,14 +210,6 @@ def _simulation_payload(report: SimulationReport) -> dict:
         "companion_radius": report.radius,
         "coefficients": _coefficients_payload(report.coefficients),
     }
-
-
-_PAYLOADS = [
-    (FitResult, "fit", _fit_payload),
-    (SearchResult, "search", _search_payload),
-    (ComparisonReport, "comparison", _comparison_payload),
-    (CoeffSearchOutcome, "coefficient-search", _coeff_outcome_payload),
-]
 
 
 def _matrix_lines(matrix, indent="    ") -> list:
@@ -337,7 +329,7 @@ def _human_coeff_outcome(outcome: CoeffSearchOutcome, names=None) -> list:
     return lines
 
 
-def _human_forecast(report: ForecastReport) -> list:
+def _human_forecast(report: ForecastReport, names=None) -> list:
     lines = [
         "forecast",
         f"  horizon = {report.horizon}",
@@ -350,7 +342,7 @@ def _human_forecast(report: ForecastReport) -> list:
     return lines
 
 
-def _human_simulation(report: SimulationReport) -> list:
+def _human_simulation(report: SimulationReport, names=None) -> list:
     lines = [
         "simulation",
         f"  columns: {', '.join(report.names)}",
@@ -362,6 +354,23 @@ def _human_simulation(report: SimulationReport) -> list:
     ]
     lines.extend(_human_coefficients(report.coefficients))
     return lines
+
+
+# result class -> (report kind, JSON payload, human body); each takes
+# (result, names)
+_WRITERS = [
+    (FitResult, "fit", _fit_payload, _human_fit),
+    (SearchResult, "search", _search_payload, _human_search),
+    (ComparisonReport, "comparison", _comparison_payload, _human_comparison),
+    (
+        CoeffSearchOutcome,
+        "coefficient-search",
+        _coeff_outcome_payload,
+        _human_coeff_outcome,
+    ),
+    (ForecastReport, "forecast", _forecast_payload, _human_forecast),
+    (SimulationReport, "simulation", _simulation_payload, _human_simulation),
+]
 
 
 def write_report(result, fmt: str, run_config: RunConfig, names=None) -> bytes:
@@ -381,17 +390,10 @@ def write_report(result, fmt: str, run_config: RunConfig, names=None) -> bytes:
     """
     if fmt not in ("human", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
-    kind, payload = None, None
-    for cls, cls_kind, fn in _PAYLOADS:
+    for cls, kind, payload_fn, human_fn in _WRITERS:
         if isinstance(result, cls):
-            kind = cls_kind
-            payload = fn(result, names)
             break
-    if kind is None and isinstance(result, ForecastReport):
-        kind, payload = "forecast", _forecast_payload(result)
-    if kind is None and isinstance(result, SimulationReport):
-        kind, payload = "simulation", _simulation_payload(result)
-    if kind is None:
+    else:
         raise TypeError(f"no report writer for {type(result).__name__}")
 
     if fmt == "json":
@@ -403,7 +405,7 @@ def write_report(result, fmt: str, run_config: RunConfig, names=None) -> bytes:
                 "settings": _encode(run_config.settings),
             },
             "kind": kind,
-            "result": _encode(payload),
+            "result": _encode(payload_fn(result, names)),
         }
         text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False)
         return (text + "\n").encode("utf-8")
@@ -418,16 +420,5 @@ def write_report(result, fmt: str, run_config: RunConfig, names=None) -> bytes:
         ]
         header.append("settings: " + ", ".join(parts))
     header.append("")
-    if kind == "fit":
-        body = _human_fit(result, names)
-    elif kind == "search":
-        body = _human_search(result, names)
-    elif kind == "comparison":
-        body = _human_comparison(result, names)
-    elif kind == "coefficient-search":
-        body = _human_coeff_outcome(result, names)
-    elif kind == "forecast":
-        body = _human_forecast(result)
-    else:
-        body = _human_simulation(result)
+    body = human_fn(result, names)
     return ("\n".join(header + body) + "\n").encode("utf-8")

@@ -6,6 +6,9 @@ share the same accounting rules:
 
 * the budget counts distinct candidates scored, not least-squares fits;
   revisiting a cached candidate is free,
+* stagnation counts evaluations without improvement and also iterations
+  that scored nothing, and a search stops once it has scored every genome
+  of the raw space, as nothing is left to find,
 * candidates are compared by the key (criterion value, parameter count,
   genome order), so ties prefer smaller models and then earlier genomes,
 * every random draw comes from streams derived from the master seed alone,
@@ -13,7 +16,8 @@ share the same accounting rules:
 
 Candidates are scored by ``CrossProductEvaluator``, which returns the
 criterion value pivoted QR would give wherever that could change a
-comparison.
+comparison.  The run bookkeeper ``_Run`` and the tabu step ``_tabu_step``
+serve the coefficient-space engines of ``varsearch.coeffsearch`` too.
 """
 
 from __future__ import annotations
@@ -121,92 +125,124 @@ class HybridParams:
 
 
 class _SearchStop(Exception):
-    """Internal: budget or stagnation limit reached."""
+    """Internal: budget, stagnation limit or exhausted space reached."""
 
 
-class _SearchRun:
-    """Shared bookkeeping: scores, budget, best tracking, stagnation."""
+class _Run:
+    """Budget, stagnation, best and trajectory bookkeeping of one search.
 
-    def __init__(self, ds, space, kind, budget):
-        self.ds = ds
-        self.space = space
+    Shared by the configuration and the coefficient engines.  ``record``
+    counts one scored candidate and keeps the best by ``key``; the search
+    stops once ``limit`` candidates have been scored (the budget, or fewer
+    when the whole space is smaller) or after ``stagnation_limit`` scored
+    candidates and stalled iterations without an improvement.  ``evaluate``
+    scores and records a candidate with ``score``; the coefficient engines
+    use it, the configuration engines score through ``_SearchRun``.
+    """
+
+    def __init__(self, budget: SearchBudget, score=None, limit=math.inf):
         self.budget = budget
-        self.evaluator = CrossProductEvaluator(ds, space, kind)
-        self.cache = self.evaluator.values
+        self.score = score
+        self.limit = min(budget.max_evaluations, limit)
         self.evaluations_used = 0
         self.best_key = None
-        self.best_genome = None
-        self.best_fit = None
+        self.best = None
         self.trajectory = []
-        self.candidate_log = []
         self.stagnation = 0
 
     def rng(self, stream_id: int) -> np.random.Generator:
         seed = derive_candidate_seed(self.budget.master_seed, stream_id)
         return np.random.default_rng(seed)
 
+    def record(self, value, key, payload) -> None:
+        """Count one scored candidate; may stop the search."""
+        self.evaluations_used += 1
+        if self.best_key is None or key < self.best_key:
+            self.best_key = key
+            self.best = payload
+            self.trajectory.append((self.evaluations_used, value))
+            self.stagnation = 0
+        else:
+            self.stall()
+        if self.evaluations_used >= self.limit:
+            raise _SearchStop
+
+    def stall(self) -> None:
+        """A candidate or an engine iteration brought no improvement."""
+        self.stagnation += 1
+        if self.stagnation >= self.budget.stagnation_limit:
+            raise _SearchStop
+
+    def evaluate(self, candidate) -> float:
+        value = self.score(candidate)
+        self.record(value, value, candidate)
+        return value
+
+
+def _tabu_step(moves, tabu_until, iteration, tenure, best_key):
+    """Take one tabu move and return its candidate.
+
+    ``moves`` are ``(key, attr, abandoned_attr, candidate)``, scored.  A
+    move is tabu while ``tabu_until[attr] >= iteration``, unless its key
+    beats ``best_key`` (aspiration); when every move is tabu the best one
+    is taken anyway.  Ties go to the earliest move.  The attribute the
+    move abandons becomes tabu for ``tenure`` iterations.
+    """
+    allowed = [
+        m for m in moves if tabu_until.get(m[1], 0) < iteration or m[0] < best_key
+    ]
+    _, _, abandoned, candidate = min(allowed or moves, key=lambda m: m[0])
+    tabu_until[abandoned] = iteration + tenure
+    return candidate
+
+
+class _SearchRun(_Run):
+    """A configuration search: the evaluator's cache and the candidate log.
+
+    Its limit is the size of the raw space, as no genome is scored twice.
+    """
+
+    def __init__(self, ds, space, kind, budget):
+        super().__init__(budget, limit=space.raw_size())
+        self.ds = ds
+        self.space = space
+        self.evaluator = CrossProductEvaluator(ds, space, kind)
+        self.cache = self.evaluator.values
+        self.candidate_log = []
+
     def key_of(self, genome) -> tuple:
         order = self.space.genome_order_key(genome)
         value, n_params = self.cache[order]
         return (value, n_params, order)
 
-    def value_of(self, genome) -> float:
-        return self.cache[self.space.genome_order_key(genome)][0]
-
-    def _score(self, genome, order):
-        """Score one fresh candidate and record it; may stop the search."""
-        cfg = self.space.config_from_genome(genome, self.ds)
-        best_value = self.best_key[0] if self.best_key is not None else None
-        value, n_params, fit_result = self.evaluator.evaluate(cfg, order, best_value)
-        self.evaluations_used += 1
-        self.candidate_log.append((cfg, value))
-        key = (value, n_params, order)
-        if self.best_key is None or key < self.best_key:
-            self.best_key = key
-            self.best_genome = genome
-            self.best_fit = fit_result
-            self.trajectory.append((self.evaluations_used, value))
-            self.stagnation = 0
-        else:
-            self.stagnation += 1
-            if self.stagnation >= self.budget.stagnation_limit:
-                raise _SearchStop
-        if self.evaluations_used >= self.budget.max_evaluations:
-            raise _SearchStop
-
     def evaluate_batch(self, genomes) -> None:
         """Score the uncached genomes one at a time, in batch order.
 
-        A stop (budget or stagnation) ends the batch at once, so no
-        candidate is scored that the search does not record.
+        A stop (budget, stagnation or exhausted space) ends the batch at
+        once, so no candidate is scored that the search does not record.
         """
         for genome in genomes:
             order = self.space.genome_order_key(genome)
-            if order not in self.cache:
-                self._score(genome, order)
-
-    def evaluate(self, genome) -> float:
-        self.evaluate_batch([genome])
-        return self.value_of(genome)
-
-    def note_stalled_iteration(self) -> None:
-        """An engine iteration produced no fresh evaluation."""
-        self.stagnation += 1
-        if self.stagnation >= self.budget.stagnation_limit:
-            raise _SearchStop
+            if order in self.cache:
+                continue
+            cfg = self.space.config_from_genome(genome, self.ds)
+            best = self.best_key[0] if self.best_key is not None else None
+            value, n_params, fit_result = self.evaluator.evaluate(cfg, order, best)
+            self.candidate_log.append((cfg, value))
+            self.record(value, (value, n_params, order), (genome, fit_result))
 
     def finalize(self, method: str) -> SearchResult:
-        if self.best_genome is None:
+        if self.best is None:
             raise EmptySpaceError("no candidate could be evaluated")
-        if self.best_fit is None:
+        genome, best_fit = self.best
+        if best_fit is None:
             raise EmptySpaceError(
                 "no valid configuration found within the evaluation budget"
             )
-        cfg = self.space.config_from_genome(self.best_genome, self.ds)
         skipped = sum(1 for _, v in self.candidate_log if math.isinf(v) and v > 0)
         return SearchResult(
-            best_config=cfg,
-            best_fit=self.best_fit,
+            best_config=self.space.config_from_genome(genome, self.ds),
+            best_fit=best_fit,
             best_value=self.best_key[0],
             evaluations_used=self.evaluations_used,
             trajectory=list(self.trajectory),
@@ -255,21 +291,24 @@ def _sample_distinct(space: SearchSpace, rng: np.random.Generator, count: int):
     return out
 
 
-def _neighbors(space: SearchSpace, genome):
-    """Deterministically ordered one-step moves: p +/- 1, q +/- 1, bit flips."""
+def _moves(space: SearchSpace, genome):
+    """Deterministically ordered one-step moves: p +/- 1, q +/- 1, bit flips.
+
+    Each move is ``(attr, abandoned_attr, neighbor)`` for the tabu step.
+    A space of one genome has none, but its search stops at its first
+    evaluation.
+    """
     p, q, bits = genome
     out = []
-    if p - 1 >= 1:
-        out.append((p - 1, q, bits))
-    if p + 1 <= space.p_max:
-        out.append((p + 1, q, bits))
-    if q - 1 >= 0:
-        out.append((p, q - 1, bits))
-    if q + 1 <= space.q_max:
-        out.append((p, q + 1, bits))
+    for new_p in (p - 1, p + 1):
+        if 1 <= new_p <= space.p_max:
+            out.append((("p", new_p), ("p", p), (new_p, q, bits)))
+    for new_q in (q - 1, q + 1):
+        if 0 <= new_q <= space.q_max:
+            out.append((("q", new_q), ("q", q), (p, new_q, bits)))
     for i in range(len(bits)):
-        flipped = tuple(b ^ 1 if j == i else b for j, b in enumerate(bits))
-        out.append((p, q, flipped))
+        flipped = bits[:i] + (bits[i] ^ 1,) + bits[i + 1 :]
+        out.append((("bit", i), ("bit", i), (p, q, flipped)))
     return out
 
 
@@ -278,15 +317,21 @@ def _steepest_descent(run: _SearchRun, genome):
     current = genome
     run.evaluate_batch([current])
     while True:
-        neighborhood = _neighbors(run.space, current)
-        if not neighborhood:
-            return current
+        neighborhood = [g for _, _, g in _moves(run.space, current)]
         run.evaluate_batch(neighborhood)
         best = min(neighborhood, key=run.key_of)
         if run.key_of(best) < run.key_of(current):
             current = best
         else:
             return current
+
+
+def _tabu_move(run: _SearchRun, current, tabu_until, iteration, tenure):
+    """Score the neighbors of ``current`` and take one tabu step among them."""
+    moves = _moves(run.space, current)
+    run.evaluate_batch([g for _, _, g in moves])
+    scored = [(run.key_of(g), attr, old, g) for attr, old, g in moves]
+    return _tabu_step(scored, tabu_until, iteration, tenure, run.best_key)
 
 
 @one_blas_thread()
@@ -319,16 +364,13 @@ def exhaustive_search(
             f"space has {len(configs)} valid configurations but the budget "
             f"allows only {budget.max_evaluations} evaluations"
         )
-    effective_budget = budget or SearchBudget(
-        max_evaluations=len(configs), stagnation_limit=max(200, len(configs) + 1)
-    )
-    run = _SearchRun(ds, space, kind, effective_budget)
     # stagnation must not cut an exhaustive sweep short
-    run.budget = SearchBudget(
-        max_evaluations=effective_budget.max_evaluations,
+    budget = SearchBudget(
+        max_evaluations=budget.max_evaluations if budget else len(configs),
         stagnation_limit=len(configs) + 1,
-        master_seed=effective_budget.master_seed,
+        master_seed=budget.master_seed if budget else 0,
     )
+    run = _SearchRun(ds, space, kind, budget)
     genomes = [space.genome_for(cfg) for cfg in configs]
     try:
         run.evaluate_batch(genomes)
@@ -404,7 +446,7 @@ def ga_search(
             run.evaluate_batch(offspring)
             population = offspring
             if run.evaluations_used == before:
-                run.note_stalled_iteration()
+                run.stall()
     except _SearchStop:
         pass
     return run.finalize("ga")
@@ -430,50 +472,15 @@ def tabu_search(
     init_rng = run.rng(_STREAM_INIT)
     try:
         current = _sample_distinct(space, init_rng, 1)[0]
-        run.evaluate(current)
+        run.evaluate_batch([current])
         tabu_until = {}
         iteration = 0
         while True:
             iteration += 1
             before = run.evaluations_used
-            neighborhood = _neighbors(space, current)
-            if not neighborhood:
-                break
-            run.evaluate_batch(neighborhood)
-
-            def move_attr(neighbor):
-                if neighbor[0] != current[0]:
-                    return ("p", neighbor[0])
-                if neighbor[1] != current[1]:
-                    return ("q", neighbor[1])
-                for i in range(len(neighbor[2])):
-                    if neighbor[2][i] != current[2][i]:
-                        return ("bit", i)
-                return None
-
-            def is_tabu(neighbor):
-                attr = move_attr(neighbor)
-                return attr in tabu_until and tabu_until[attr] >= iteration
-
-            allowed = [
-                g
-                for g in neighborhood
-                if not is_tabu(g) or run.key_of(g) < run.best_key
-            ]
-            pool = allowed if allowed else neighborhood
-            chosen = min(pool, key=run.key_of)
-            attr = move_attr(chosen)
-            if attr is not None:
-                kind_name, _ = attr
-                if kind_name == "p":
-                    tabu_until[("p", current[0])] = iteration + params.tenure
-                elif kind_name == "q":
-                    tabu_until[("q", current[1])] = iteration + params.tenure
-                else:
-                    tabu_until[attr] = iteration + params.tenure
-            current = chosen
+            current = _tabu_move(run, current, tabu_until, iteration, params.tenure)
             if run.evaluations_used == before:
-                run.note_stalled_iteration()
+                run.stall()
     except _SearchStop:
         pass
     return run.finalize("tabu")
@@ -531,7 +538,7 @@ def grasp_search(
             constructed = _grasp_construct(run, rng, params.alpha)
             _steepest_descent(run, constructed)
             if run.evaluations_used == before:
-                run.note_stalled_iteration()
+                run.stall()
             round_index += 1
     except _SearchStop:
         pass
@@ -625,7 +632,7 @@ def scatter_search(
                 )
                 run.evaluate_batch(refresh)
                 if run.evaluations_used == before:
-                    run.note_stalled_iteration()
+                    run.stall()
                 else:
                     refset = build_refset(refset + refresh)
     except _SearchStop:
@@ -665,45 +672,11 @@ def hybrid_search(
             while run.evaluations_used - phase_start < allowance:
                 iteration += 1
                 step_before = run.evaluations_used
-                neighborhood = _neighbors(space, current)
-                if not neighborhood:
-                    break
-                run.evaluate_batch(neighborhood)
-
-                def move_attr(neighbor):
-                    if neighbor[0] != current[0]:
-                        return ("p", neighbor[0])
-                    if neighbor[1] != current[1]:
-                        return ("q", neighbor[1])
-                    for i in range(len(neighbor[2])):
-                        if neighbor[2][i] != current[2][i]:
-                            return ("bit", i)
-                    return None
-
-                def is_tabu(neighbor):
-                    attr = move_attr(neighbor)
-                    return attr in tabu_until and tabu_until[attr] >= iteration
-
-                allowed = [
-                    g
-                    for g in neighborhood
-                    if not is_tabu(g) or run.key_of(g) < run.best_key
-                ]
-                pool = allowed if allowed else neighborhood
-                chosen = min(pool, key=run.key_of)
-                attr = move_attr(chosen)
-                if attr is not None:
-                    if attr[0] == "p":
-                        tabu_until[("p", current[0])] = iteration + params.tenure
-                    elif attr[0] == "q":
-                        tabu_until[("q", current[1])] = iteration + params.tenure
-                    else:
-                        tabu_until[attr] = iteration + params.tenure
-                current = chosen
+                current = _tabu_move(run, current, tabu_until, iteration, params.tenure)
                 if run.evaluations_used == step_before:
                     break
             if run.evaluations_used == before:
-                run.note_stalled_iteration()
+                run.stall()
             round_index += 1
     except _SearchStop:
         pass

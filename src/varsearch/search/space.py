@@ -127,8 +127,10 @@ class SearchBudget:
     """Evaluation budget and seed shared by all search engines.
 
     ``max_evaluations`` counts distinct candidates scored; repeat visits
-    are served from a cache for free.  ``stagnation_limit``
-    stops a search after that many evaluations without improvement.
+    are served from a cache for free.  ``stagnation_limit`` stops a search
+    after that many evaluations and engine iterations that scored nothing
+    without an improvement.  A configuration search also stops once it has
+    scored every genome of the raw space.
     """
 
     max_evaluations: int

@@ -87,7 +87,9 @@ HOOKS = [
     (ols, "build_regression_system"),
     (CrossProductEvaluator, "evaluate"),
     (coeffsearch._CoeffProblem, "fitness"),
-    (coeffsearch, "_criterion_breakdown"),
+    # the residual scorer, which compare_with_ols's per-criterion
+    # breakdown calls outside the fitness
+    (coeffsearch, "_residual_log_det"),
 ]
 
 

@@ -30,7 +30,7 @@ from varsearch import (
     tabu_search,
 )
 
-from varsearch.search import evaluation
+from varsearch.search import engines, evaluation
 from varsearch.search.evaluation import CrossProductEvaluator
 
 from .conftest import make_dataset, noisy_dataset
@@ -244,11 +244,87 @@ class TestMetaheuristics:
             t = tabu_search(ds, space, CriterionKind.AIC, budget).best_value
             assert h <= max(g, t) + 1e-12
 
+    @pytest.mark.parametrize("engine", METAHEURISTICS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_larger_budget_extends_the_same_run(self, engine, seed):
+        # the same seed replays the smaller run's candidates first
+        ds, space = small_space_problem()
+        small = engine(
+            ds, space, CriterionKind.AIC,
+            SearchBudget(20, stagnation_limit=100, master_seed=seed),
+        )
+        large = engine(
+            ds, space, CriterionKind.AIC,
+            SearchBudget(60, stagnation_limit=100, master_seed=seed),
+        )
+        used = small.evaluations_used
+        assert used == 20
+        assert large.candidate_log[:used] == small.candidate_log
+        assert [e for e in large.trajectory if e[0] <= used] == small.trajectory
+        assert large.best_value <= small.best_value
+
+    @pytest.mark.parametrize("engine", METAHEURISTICS)
+    def test_search_stops_once_the_space_is_exhausted(self, engine, monkeypatch):
+        # three genomes: past the third evaluation an engine could only
+        # count stalled iterations up to the stagnation limit
+        ds = noisy_dataset(seed=0, n=2, p=1, t=120)
+        space = SearchSpace(p_max=3)
+        batches = []
+        evaluate_batch = engines._SearchRun.evaluate_batch
+
+        def counting(run, genomes):
+            batches.append(None)
+            return evaluate_batch(run, genomes)
+
+        monkeypatch.setattr(engines._SearchRun, "evaluate_batch", counting)
+        results, calls = [], []
+        for stagnation_limit in (200, 20000):
+            batches.clear()
+            budget = SearchBudget(50, stagnation_limit, master_seed=1)
+            results.append(engine(ds, space, CriterionKind.AIC, budget))
+            calls.append(len(batches))
+        short, long = results
+        assert short.evaluations_used == long.evaluations_used == 3
+        assert short.best_config == long.best_config
+        assert short.best_value == long.best_value
+        assert short.trajectory == long.trajectory
+        assert short.candidate_log == long.candidate_log
+        assert calls[0] == calls[1] < 20
+
     def test_method_field_set(self):
         ds, space = small_space_problem()
         budget = SearchBudget(20, master_seed=0)
         assert ga_search(ds, space, CriterionKind.AIC, budget).method == "ga"
         assert exhaustive_search(ds, space, CriterionKind.AIC).method == "exhaustive"
+
+
+class TestTabuStep:
+    """The one tabu rule both engine families step with."""
+
+    def test_best_allowed_move_and_its_abandoned_attribute_becomes_tabu(self):
+        tabu_until = {"a": 3}
+        moves = [(1.0, "a", "x", "A"), (2.0, "b", "y", "B"), (3.0, "c", "z", "C")]
+        chosen = engines._tabu_step(moves, tabu_until, 2, 5, best_key=0.5)
+        assert chosen == "B"
+        assert tabu_until == {"a": 3, "y": 7}
+
+    def test_tabu_expires_after_its_iteration(self):
+        moves = [(1.0, "a", "x", "A"), (2.0, "b", "y", "B")]
+        assert engines._tabu_step(moves, {"a": 3}, 4, 5, best_key=0.5) == "A"
+
+    def test_ties_go_to_the_earliest_move(self):
+        moves = [(2.0, "a", "x", "A"), (1.0, "b", "y", "B"), (1.0, "c", "z", "C")]
+        assert engines._tabu_step(moves, {}, 1, 5, best_key=0.5) == "B"
+
+    def test_aspiration_admits_a_tabu_move_beating_the_best(self):
+        moves = [(1.0, "a", "x", "A"), (2.0, "b", "y", "B")]
+        assert engines._tabu_step(moves, {"a": 9}, 1, 5, best_key=1.5) == "A"
+
+    def test_all_tabu_takes_the_best_move(self):
+        moves = [(2.0, "a", "x", "A"), (1.0, "b", "y", "B")]
+        tabu_until = {"a": 9, "b": 9}
+        assert engines._tabu_step(moves, tabu_until, 1, 5, best_key=0.5) == "B"
+        assert tabu_until["y"] == 6
 
 
 class TestParamValidation:

@@ -1,0 +1,266 @@
+"""Pinned answers of all eleven engines on small seeded problems.
+
+The values below were recorded from the engines before the configuration
+and coefficient engines came to share one tabu step, one run bookkeeper and
+one residual scorer; any refactor of that shared code must reproduce them.
+Besides the evaluation count, the trajectory and the best answer, the
+configuration engines pin a digest of the order in which candidates were
+scored, so a change in which neighbour a tabu step takes shows even when
+the trajectory does not move.
+"""
+
+import hashlib
+import math
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from varsearch import (
+    CriterionKind,
+    ModelConfig,
+    PartitionMode,
+    SearchBudget,
+    SearchMethod,
+    SearchSpace,
+    exhaustive_search,
+    ga_search,
+    grasp_search,
+    hybrid_search,
+    scatter_search,
+    search_coefficients_full,
+    tabu_search,
+)
+
+from .conftest import noisy_dataset
+
+VALUE_TOL = 1e-12
+
+
+class Pin(NamedTuple):
+    evaluations_used: int
+    indices: list
+    values: list
+    best: object
+    log_digest: str = ""
+
+
+CONFIG_PINS = {
+    'exhaustive': Pin(
+        evaluations_used=65,
+        indices=[1, 2, 4, 12, 15, 17, 20],
+        values=[
+            -0.5861972113236408, -1.3791831134957835, -1.7130957598625967,
+            -1.724272052719678, -2.1589222023822634, -2.802184422452875,
+            -2.8026629950411825,
+        ],
+        best=(2, 1, (True, True, False, True)),
+        log_digest='6847b5f4b781928d',
+    ),
+    'ga': Pin(
+        evaluations_used=33,
+        indices=[1, 2, 3],
+        values=[
+            math.inf, -1.724272052719678, -2.802184422452875,
+        ],
+        best=(2, 0, (True, True, True, True)),
+        log_digest='d2e5ca5bfe1da59e',
+    ),
+    'tabu': Pin(
+        evaluations_used=45,
+        indices=[1, 4, 16],
+        values=[
+            -2.7281785940924563, -2.7543735253791968, -2.8026629950411825,
+        ],
+        best=(2, 1, (True, True, False, True)),
+        log_digest='69d91abc2c249288',
+    ),
+    'grasp': Pin(
+        evaluations_used=39,
+        indices=[1, 2, 3, 6, 10, 11, 17],
+        values=[
+            -0.5861972113236408, -0.7560245867475993, -0.973533486474737,
+            -2.7203930519259605, -2.728344555590775, -2.7625137434129106,
+            -2.8026629950411825,
+        ],
+        best=(2, 1, (True, True, False, True)),
+        log_digest='403bb3e9c86c9db0',
+    ),
+    'scatter': Pin(
+        evaluations_used=60,
+        indices=[1, 6, 8, 17, 31],
+        values=[
+            -2.692522094382426, -2.7203930519259605, -2.7281785940924563,
+            -2.7469970043964613, -2.8026629950411825,
+        ],
+        best=(2, 1, (True, True, False, True)),
+        log_digest='22697cd64f11344e',
+    ),
+    'hybrid': Pin(
+        evaluations_used=40,
+        indices=[1, 2, 3, 6, 10, 11, 17],
+        values=[
+            -0.5861972113236408, -0.7560245867475993, -0.973533486474737,
+            -2.7203930519259605, -2.728344555590775, -2.7625137434129106,
+            -2.8026629950411825,
+        ],
+        best=(2, 1, (True, True, False, True)),
+        log_digest='f653d936d9fcbb33',
+    ),
+}
+
+COEFF_PINS = {
+    'ga': Pin(
+        evaluations_used=400,
+        indices=[
+            1, 73, 78, 102, 116, 117, 129, 159, 175, 178, 183, 190, 200, 217, 284, 290,
+            304,
+        ],
+        values=[
+            2.810616687687617, 2.058204219436456, 2.0104304955946635,
+            1.9304983159359805, 1.9165400367076884, 1.6745440619113627,
+            1.5508821120740888, 1.4437716476473013, 1.4352661762617371,
+            1.4165369036319668, 1.3703917436156705, 1.3435643489294986,
+            1.2505347118559074, 1.2221891936942453, 1.2187473877354804,
+            1.2011308492450172, 1.1602253380312584,
+        ],
+        best=[
+            -0.5525209613294582, -0.05829442761252024, 1.296400649660192,
+            0.5280827370955676, 0.33360792264434436, 0.2742152975066538,
+        ],
+    ),
+    'tabu': Pin(
+        evaluations_used=400,
+        indices=[
+            1, 2, 5, 14, 17, 26, 38, 49, 50, 62, 74, 91, 98, 109, 139, 151, 163, 175,
+            187, 199, 211, 230, 271, 278, 283, 290, 307, 379, 391,
+        ],
+        values=[
+            2.810616687687617, 2.575519063015251, 2.306869897638933, 2.1120628343860943,
+            2.087657342952345, 1.9851516636883157, 1.9452334712542656,
+            1.9073027593200274, 1.8620292313427753, 1.8482557197226734,
+            1.8081496602958889, 1.7819164253367914, 1.7694815261634158,
+            1.7535454335549265, 1.7423952807468455, 1.7252771062107009,
+            1.722351394658915, 1.6878473140234251, 1.6844994960619255,
+            1.6236311412513529, 1.5778957585293885, 1.527342024373189,
+            1.4983111348830187, 1.4800107095812889, 1.4769315420674791,
+            1.4176677967349576, 1.3682825261079206, 1.3129391185075232,
+            1.2643494703529616,
+        ],
+        best=[
+            -0.5954984653287086, -0.09924974422145144, 0.893247697993063,
+            0.4962487211072572, 0.0, 0.19849948844290288,
+        ],
+    ),
+    'grasp': Pin(
+        evaluations_used=400,
+        indices=[
+            1, 117, 119, 129, 141, 143, 153, 165, 177, 179, 189, 201, 213, 215, 225,
+            237, 249, 251, 261, 273, 285, 287, 297, 309, 321, 323, 333, 350,
+            353, 362, 365, 374, 377, 386, 389, 398,
+        ],
+        values=[
+            2.810616687687617, 2.7352590164706823, 2.7104588308052153,
+            2.610488887971011, 2.514754805640954, 2.508388154850105,
+            2.3894558727146187, 2.274015871878155, 2.1653315036745275,
+            2.153428865299375, 2.0119727522048634, 1.8764242795283375,
+            1.7527620935405293, 1.7303612184372663, 1.5576532914941006,
+            1.3964896867435788, 1.2592167178124583, 1.2149578515825377,
+            0.9993045582290836, 0.8113658029484139, 0.6800197055251749,
+            0.5859660835691194, 0.32514480548131514, 0.14849272414401232,
+            0.11714797104034069, -0.08076162565880701, -0.2861049667063345,
+            -0.2874118526209331, -0.3903935407820291, -0.3998162001174614,
+            -0.48354970477405673, -0.5027294416183503, -0.5610936682351051,
+            -0.5914841561668667, -0.6184624469032445, -0.6610158814354348,
+        ],
+        best=[
+            -1.1909969306574175, -0.198499488442903, 3.0767420708649946,
+            0.9924974422145145, -0.39699897688580577, 0.09924974422145144,
+        ],
+    ),
+    'scatter': Pin(
+        evaluations_used=400,
+        indices=[
+            1, 31, 49,
+        ],
+        values=[
+            2.810616687687617, 2.7186036340727577, 1.6363939236060348,
+        ],
+        best=[
+            -0.3642152118316436, 0.09314684220737196, 1.5944971734522628,
+            0.733477961873243, -0.17982690955876107, 0.2747586867947461,
+        ],
+    ),
+    'hybrid': Pin(
+        evaluations_used=400,
+        indices=[
+            1, 143, 168, 169, 254, 266, 278, 280, 289, 290, 292, 302,
+        ],
+        values=[
+            2.810616687687617, 2.7920914673704207, 2.6404987342569717,
+            2.489408316982916, 2.4512404129282626, 2.436120597471126,
+            2.418033291476355, 2.3649184320444947, 2.3630552933943174,
+            2.259038008945676, 2.2031659768449994, 2.1124467438937584,
+        ],
+        best=[
+            -0.09924974422145144, 0.09924974422145144, 0.09924974422145144,
+            0.09924974422145144, 0.09924974422145144, 0.5954984653287085,
+        ],
+    ),
+}
+
+CONFIG_ENGINES = {
+    "ga": ga_search,
+    "tabu": tabu_search,
+    "grasp": grasp_search,
+    "scatter": scatter_search,
+    "hybrid": hybrid_search,
+}
+
+
+def _log_digest(candidate_log) -> str:
+    text = ";".join(
+        f"{cfg.p},{cfg.q},{''.join('1' if b else '0' for b in cfg.dependent_mask)}"
+        for cfg, _ in candidate_log
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _assert_trajectory(trajectory, pin):
+    assert [i for i, _ in trajectory] == pin.indices
+    for (_, got), want in zip(trajectory, pin.values):
+        assert got == want or abs(got - want) <= VALUE_TOL
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_PINS))
+def test_configuration_engine_answers_are_pinned(name):
+    ds = noisy_dataset(seed=0, n=2, p=2, d=2, q=1, t=120, noise=0.5)
+    space = SearchSpace(
+        p_max=5, q_max=3, partition_mode=PartitionMode.SEARCH, switchable=(2, 3)
+    )
+    if name == "exhaustive":
+        result = exhaustive_search(ds, space, CriterionKind.AIC)
+    else:
+        budget = SearchBudget(60, stagnation_limit=30, master_seed=1)
+        result = CONFIG_ENGINES[name](ds, space, CriterionKind.AIC, budget)
+    pin = CONFIG_PINS[name]
+    assert result.evaluations_used == pin.evaluations_used
+    _assert_trajectory(result.trajectory, pin)
+    cfg = result.best_config
+    assert (cfg.p, cfg.q, tuple(cfg.dependent_mask)) == pin.best
+    assert _log_digest(result.candidate_log) == pin.log_digest
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_PINS))
+def test_coefficient_engine_answers_are_pinned(name):
+    # a stagnation limit above the budget lets the tabu phases run to the end
+    ds = noisy_dataset(seed=4, n=2, p=1, t=80, noise=0.5)
+    cfg = ModelConfig(p=1, q=0, dependent_mask=(True, True))
+    budget = SearchBudget(400, stagnation_limit=10**6, master_seed=1)
+    outcome = search_coefficients_full(
+        ds, cfg, CriterionKind.BIC, SearchMethod(name), budget
+    )
+    pin = COEFF_PINS[name]
+    assert outcome.evaluations_used == pin.evaluations_used
+    _assert_trajectory(outcome.trajectory, pin)
+    np.testing.assert_allclose(outcome.theta, pin.best, rtol=0, atol=VALUE_TOL)
