@@ -85,6 +85,17 @@ def _add_io_flags(sub):
     )
 
 
+def _add_model_flags(sub):
+    sub.add_argument("--p", type=int, required=True, help="endogenous lag order")
+    sub.add_argument("--q", type=int, default=0, help="exogenous lag order")
+    sub.add_argument(
+        "--no-constant", action="store_true", help="drop the intercept column"
+    )
+    sub.add_argument(
+        "--criterion", default="aic", help="information criterion: aic, bic or hqc"
+    )
+
+
 def _add_report_flags(sub):
     sub.add_argument("--out", help="write the human report to this file")
     sub.add_argument("--out-json", help="write the machine report to this file")
@@ -116,14 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = subs.add_parser("fit", help="estimate one configuration by least squares")
     _add_io_flags(p_fit)
-    p_fit.add_argument("--p", type=int, required=True, help="endogenous lag order")
-    p_fit.add_argument("--q", type=int, default=0, help="exogenous lag order")
-    p_fit.add_argument(
-        "--no-constant", action="store_true", help="drop the intercept column"
-    )
-    p_fit.add_argument(
-        "--criterion", default="aic", help="criterion highlighted in the report"
-    )
+    _add_model_flags(p_fit)
     _add_report_flags(p_fit)
     p_fit.set_defaults(handler=_cmd_fit)
 
@@ -154,11 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
         "search-coeffs", help="search coefficient space directly"
     )
     _add_io_flags(p_sc)
-    p_sc.add_argument("--p", type=int, required=True)
-    p_sc.add_argument("--q", type=int, default=0)
-    p_sc.add_argument("--no-constant", action="store_true")
+    _add_model_flags(p_sc)
     p_sc.add_argument("--method", default="ga")
-    p_sc.add_argument("--criterion", default="aic")
     _add_budget_flags(p_sc, budget_required=True)
     _add_report_flags(p_sc)
     p_sc.set_defaults(handler=_cmd_search_coeffs)
@@ -167,11 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="coefficient search versus least squares"
     )
     _add_io_flags(p_cmp)
-    p_cmp.add_argument("--p", type=int, required=True)
-    p_cmp.add_argument("--q", type=int, default=0)
-    p_cmp.add_argument("--no-constant", action="store_true")
+    _add_model_flags(p_cmp)
     p_cmp.add_argument("--method", default="ga")
-    p_cmp.add_argument("--criterion", default="aic")
     _add_budget_flags(p_cmp, budget_required=True)
     _add_report_flags(p_cmp)
     p_cmp.set_defaults(handler=_cmd_compare)
@@ -201,15 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
         "forecast", help="fit a configuration and forecast the dependent block"
     )
     _add_io_flags(p_fc)
-    p_fc.add_argument("--p", type=int, required=True)
-    p_fc.add_argument("--q", type=int, default=0)
-    p_fc.add_argument("--no-constant", action="store_true")
+    _add_model_flags(p_fc)
     p_fc.add_argument("--horizon", type=int, required=True)
     p_fc.add_argument(
         "--future-input",
         help="CSV of future independent values (needed when q >= 1 and horizon >= 2)",
     )
-    p_fc.add_argument("--criterion", default="aic")
     p_fc.add_argument("--out", help="write the forecasts as CSV to this file")
     p_fc.add_argument("--out-json", help="write the machine report to this file")
     p_fc.set_defaults(handler=_cmd_forecast)
@@ -243,16 +238,19 @@ def _role_settings(args) -> dict:
     }
 
 
-def _cmd_fit(args) -> int:
-    ds = load_dataset(args.input, args.dependent, args.independent)
-    CriterionKind.from_string(args.criterion)
-    cfg = ModelConfig(
+def _model_config(args, ds) -> ModelConfig:
+    return ModelConfig(
         p=args.p,
         q=args.q,
         dependent_mask=ds.base_mask,
         include_constant=not args.no_constant,
     )
-    result = fit(ds, cfg)
+
+
+def _cmd_fit(args) -> int:
+    ds = load_dataset(args.input, args.dependent, args.independent)
+    CriterionKind.from_string(args.criterion)
+    result = fit(ds, _model_config(args, ds))
     run_config = RunConfig(
         "fit",
         {
@@ -324,12 +322,7 @@ def _coeff_common(args):
             "exhaustive does not apply to coefficient space; choose "
             "ga, tabu, grasp, scatter or hybrid"
         )
-    cfg = ModelConfig(
-        p=args.p,
-        q=args.q,
-        dependent_mask=ds.base_mask,
-        include_constant=not args.no_constant,
-    )
+    cfg = _model_config(args, ds)
     budget = SearchBudget(args.budget, args.stagnation, args.seed)
     settings = {
         "input": args.input,
@@ -428,12 +421,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_forecast(args) -> int:
     ds = load_dataset(args.input, args.dependent, args.independent)
     CriterionKind.from_string(args.criterion)
-    cfg = ModelConfig(
-        p=args.p,
-        q=args.q,
-        dependent_mask=ds.base_mask,
-        include_constant=not args.no_constant,
-    )
+    cfg = _model_config(args, ds)
     result = fit(ds, cfg)
     future_z = None
     if args.future_input:

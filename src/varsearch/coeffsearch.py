@@ -4,11 +4,20 @@ Instead of estimating coefficients by least squares, these engines treat
 the flattened coefficient matrix as a continuous genome and minimize the
 same information criterion the estimator reports.  Because the space is
 continuous there is no candidate cache: every fitness call costs budget.
-Budget, stagnation, the best candidate, the trajectory and the random
-streams are kept by the bookkeeper the configuration engines use
-(``search.engines._Run``), the tabu engines take their tabu step
-(``search.engines._tabu_step``), and a candidate's residuals are scored by
-the function ``fit`` scores with.
+
+The GA, tabu search, GRASP and the GRASP+tabu hybrid are the functions of
+``search.engines`` that search the configuration space too; ``_CoeffRun``
+is this space's ``_Run``.  It scores every candidate with
+``_CoeffProblem.fitness`` and supplies the operators: a sample of the zero
+vector, optionally the least-squares solution, then a uniform box; +/- one
+step moves per coordinate; blend crossover; Gaussian mutation; and a
+construction that places one coordinate at a time from a value grid.  Its
+``anchor`` scores the zero vector before the first GRASP or hybrid round.
+Scatter search is this module's own (``_coeff_scatter``): it keeps
+duplicates, descends only from children, never refreshes and breaks ties
+by first index, so it shares only the descent with the configuration
+version.  A candidate's residuals are scored by the function ``fit``
+scores with.
 
 The point of the module is the comparison: ``compare_with_ols`` runs a
 search and reports its criterion gap against the least-squares solution,
@@ -38,10 +47,12 @@ from .ols import (
 from .search.engines import (
     _STREAM_INIT,
     _STREAM_OPS,
-    _STREAM_ROUND_BASE,
     _Run,
-    _SearchStop,
-    _tabu_step,
+    _descend,
+    _ga,
+    _grasp,
+    _hybrid,
+    _tabu,
 )
 from .search.space import SearchBudget, SearchMethod
 
@@ -227,161 +238,92 @@ def coefficient_fitness(
     return problem.fitness(genome.theta)
 
 
-def _initial_population(
-    problem: _CoeffProblem, rng, count: int, params: CoeffSearchParams
-):
-    """Zero vector first, then a uniform box sample; optionally the
-    least-squares solution."""
-    length = problem.n_theta
-    radius = problem.init_radius
-    pop = [np.zeros(length)]
-    if params.include_ols_start:
-        theta_ols = solve_least_squares(problem.system)
-        pop.append(theta_ols.reshape(-1).copy())
-    while len(pop) < count:
-        pop.append(rng.uniform(-radius, radius, size=length))
-    return pop[:count]
+class _CoeffRun(_Run):
+    """The coefficient space: flattened coefficient vectors, each scored
+    afresh by the problem's fitness."""
+
+    def __init__(self, budget: SearchBudget, problem: _CoeffProblem, params):
+        super().__init__(budget)
+        self.problem = problem
+        self.params = params
+        self.genome_length = problem.n_theta
+
+    def score(self, candidates) -> list:
+        values = []
+        for theta in candidates:
+            value = self.problem.fitness(theta)
+            self.record(value, value, theta)
+            values.append(value)
+        return values
+
+    def anchor(self) -> None:
+        self.score([np.zeros(self.genome_length)])
+
+    def sample(self, rng, count: int) -> list:
+        """Zero vector first, then (only when more than one is asked for)
+        the optional least-squares solution, then a uniform box sample."""
+        radius = self.problem.init_radius
+        pop = [np.zeros(self.genome_length)]
+        if self.params.include_ols_start and count > 1:
+            theta_ols = solve_least_squares(self.problem.system)
+            pop.append(theta_ols.reshape(-1).copy())
+        while len(pop) < count:
+            pop.append(rng.uniform(-radius, radius, size=self.genome_length))
+        return pop
+
+    def moves(self, theta: np.ndarray) -> list:
+        """+/- one step on each coordinate, in coordinate order.
+
+        A move's attribute, and the one it abandons, is its coordinate.
+        """
+        step = self.problem.sigma_mut
+        out = []
+        for i in range(theta.size):
+            for direction in (-1.0, 1.0):
+                candidate = theta.copy()
+                candidate[i] += direction * step
+                out.append((i, i, candidate))
+        return out
+
+    def crossover(self, a: np.ndarray, b: np.ndarray, rng) -> np.ndarray:
+        lam = rng.random()
+        return lam * a + (1.0 - lam) * b
+
+    def mutate(self, theta: np.ndarray, rng, rate: float) -> np.ndarray:
+        mask = rng.random(theta.size) < rate
+        if not mask.any():
+            return theta
+        return theta + mask * rng.normal(0.0, self.problem.sigma_mut, size=mask.size)
+
+    def construction(self):
+        """From zero, place each coordinate in turn on a value grid."""
+        radius = self.problem.init_radius
+        grid = np.linspace(-radius, radius, self.params.grasp_grid)
+        index = np.arange(self.genome_length)
+        dimensions = [
+            lambda theta, i=i: [np.where(index == i, g, theta) for g in grid]
+            for i in range(self.genome_length)
+        ]
+        return np.zeros(self.genome_length), dimensions
 
 
-def _coordinate_moves(theta: np.ndarray, step: float):
-    """±step on each coordinate, in coordinate order."""
-    moves = []
-    for i in range(theta.size):
-        for direction in (-1.0, 1.0):
-            candidate = theta.copy()
-            candidate[i] += direction * step
-            moves.append((i, candidate))
-    return moves
-
-
-def _coordinate_descent(
-    run: _Run, problem: _CoeffProblem, theta: np.ndarray, value: float
-):
-    """Steepest coordinate descent with fixed step until no move improves."""
-    current, current_value = theta, value
-    while True:
-        best_candidate, best_value = None, current_value
-        for _, candidate in _coordinate_moves(current, problem.sigma_mut):
-            v = run.evaluate(candidate)
-            if v < best_value:
-                best_candidate, best_value = candidate, v
-        if best_candidate is None:
-            return current, current_value
-        current, current_value = best_candidate, best_value
-
-
-def _coeff_tabu_move(
-    run: _Run, problem: _CoeffProblem, current, tabu_until, iteration, tenure
-):
-    """Score the ±step moves of ``current`` and take one tabu step among them.
-
-    A move's attribute, and the one it abandons, is its coordinate.
-    """
-    moves = [
-        (run.evaluate(candidate), i, i, candidate)
-        for i, candidate in _coordinate_moves(current, problem.sigma_mut)
-    ]
-    return _tabu_step(moves, tabu_until, iteration, tenure, run.best_key)
-
-
-def _coeff_ga(run: _Run, problem: _CoeffProblem, params: CoeffSearchParams):
-    rng_init = run.rng(_STREAM_INIT)
+def _coeff_scatter(run: _CoeffRun, params: CoeffSearchParams) -> None:
     rng = run.rng(_STREAM_OPS)
-    length = problem.n_theta
-    sigma = problem.sigma_mut
-    mut_rate = params.mutation_rate if params.mutation_rate is not None else 1.0 / length
-    pop = _initial_population(problem, rng_init, params.population_size, params)
-    values = [run.evaluate(theta) for theta in pop]
-
-    def tournament():
-        picks = rng.integers(0, len(pop), size=params.tournament_size)
-        best = min(picks, key=lambda i: values[int(i)])
-        return pop[int(best)]
-
-    while True:
-        order = np.argsort(values, kind="stable")
-        next_pop = [pop[int(i)].copy() for i in order[: params.elitism]]
-        while len(next_pop) < len(pop):
-            parent_a = tournament()
-            parent_b = tournament()
-            if rng.random() < params.crossover_rate:
-                lam = rng.random()
-                child = lam * parent_a + (1.0 - lam) * parent_b
-            else:
-                child = parent_a.copy()
-            mask = rng.random(length) < mut_rate
-            if mask.any():
-                child = child + mask * rng.normal(0.0, sigma, size=length)
-            next_pop.append(child)
-        pop = next_pop
-        values = [run.evaluate(theta) for theta in pop]
-
-
-def _coeff_tabu(run: _Run, problem: _CoeffProblem, params: CoeffSearchParams):
-    current = np.zeros(problem.n_theta)
-    run.evaluate(current)
-    tabu_until = {}
-    iteration = 0
-    while True:
-        iteration += 1
-        current = _coeff_tabu_move(
-            run, problem, current, tabu_until, iteration, params.tenure
-        )
-
-
-def _grasp_construct_coeff(
-    run: _Run, problem: _CoeffProblem, rng, params: CoeffSearchParams
-):
-    """Place one coordinate at a time from a value grid, RCL-randomized."""
-    length = problem.n_theta
-    radius = problem.init_radius
-    grid = np.linspace(-radius, radius, params.grasp_grid)
-    theta = np.zeros(length)
-    for i in range(length):
-        trials = []
-        for g in grid:
-            candidate = theta.copy()
-            candidate[i] = g
-            trials.append((run.evaluate(candidate), g))
-        trials.sort(key=lambda t: (t[0], t[1]))
-        rcl = trials[: max(1, math.ceil(params.alpha * len(trials)))]
-        theta[i] = rcl[int(rng.integers(0, len(rcl)))][1]
-    value = run.evaluate(theta)
-    return theta, value
-
-
-def _coeff_grasp(run: _Run, problem: _CoeffProblem, params: CoeffSearchParams):
-    run.evaluate(np.zeros(problem.n_theta))
-    round_index = 0
-    while True:
-        rng = run.rng(_STREAM_ROUND_BASE + round_index)
-        theta, value = _grasp_construct_coeff(run, problem, rng, params)
-        _coordinate_descent(run, problem, theta, value)
-        round_index += 1
-
-
-def _coeff_scatter(run: _Run, problem: _CoeffProblem, params: CoeffSearchParams):
-    rng_init = run.rng(_STREAM_INIT)
-    rng = run.rng(_STREAM_OPS)
-    sigma = problem.sigma_mut
-    pool = _initial_population(problem, rng_init, params.initial_pool_size, params)
-    values = [run.evaluate(theta) for theta in pool]
+    sigma = run.problem.sigma_mut
+    pool = run.sample(run.rng(_STREAM_INIT), params.initial_pool_size)
+    values = run.score(pool)
 
     def build_refset(members, member_values):
-        order = np.argsort(member_values, kind="stable")
-        best = [members[int(i)] for i in order[: params.n_best]]
-        best_vals = [member_values[int(i)] for i in order[: params.n_best]]
-        rest = [members[int(i)] for i in order[params.n_best :]]
-        rest_vals = [member_values[int(i)] for i in order[params.n_best :]]
-        chosen, chosen_vals = list(best), list(best_vals)
+        """The n_best best, then greedy max-min distance additions."""
+        order = np.argsort(member_values, kind="stable").tolist()
+        chosen, rest = order[: params.n_best], order[params.n_best :]
         while rest and len(chosen) < params.ref_size:
             dists = [
-                min(float(np.linalg.norm(r - c)) for c in chosen) for r in rest
+                min(float(np.linalg.norm(members[r] - members[c])) for c in chosen)
+                for r in rest
             ]
-            pick = int(np.argmax(dists))
-            chosen.append(rest.pop(pick))
-            chosen_vals.append(rest_vals.pop(pick))
-        return chosen, chosen_vals
+            chosen.append(rest.pop(int(np.argmax(dists))))
+        return [members[i] for i in chosen], [member_values[i] for i in chosen]
 
     refset, ref_values = build_refset(pool, values)
     while True:
@@ -390,43 +332,23 @@ def _coeff_scatter(run: _Run, problem: _CoeffProblem, params: CoeffSearchParams)
             for j in range(i + 1, len(refset)):
                 mid = 0.5 * (refset[i] + refset[j])
                 children.append(mid + rng.normal(0.0, 0.5 * sigma, size=mid.size))
-        child_values = [run.evaluate(child) for child in children]
-        improved, improved_values = [], []
-        for child, value in zip(children, child_values):
-            theta, v = _coordinate_descent(run, problem, child, value)
-            improved.append(theta)
-            improved_values.append(v)
+        child_values = run.score(children)
+        improved = [_descend(run, c, v) for c, v in zip(children, child_values)]
         refset, ref_values = build_refset(
-            refset + improved, ref_values + improved_values
+            refset + [theta for theta, _ in improved],
+            ref_values + [v for _, v in improved],
         )
 
 
-def _coeff_hybrid(run: _Run, problem: _CoeffProblem, params: CoeffSearchParams):
-    run.evaluate(np.zeros(problem.n_theta))
-    round_index = 0
-    while True:
-        rng = run.rng(_STREAM_ROUND_BASE + round_index)
-        before = run.evaluations_used
-        current, _ = _grasp_construct_coeff(run, problem, rng, params)
-        construction_cost = max(1, run.evaluations_used - before)
-        allowance = max(1, round(construction_cost * 7.0 / 3.0))
-        tabu_until = {}
-        iteration = 0
-        phase_start = run.evaluations_used
-        while run.evaluations_used - phase_start < allowance:
-            iteration += 1
-            current = _coeff_tabu_move(
-                run, problem, current, tabu_until, iteration, params.tenure
-            )
-        round_index += 1
-
+# the hybrid's construction share; (1 - 0.3) / 0.3 == 7 / 3 exactly
+_CONSTRUCTION_SHARE = 0.3
 
 _COEFF_ENGINES = {
-    SearchMethod.GA: _coeff_ga,
-    SearchMethod.TABU: _coeff_tabu,
-    SearchMethod.GRASP: _coeff_grasp,
+    SearchMethod.GA: _ga,
+    SearchMethod.TABU: _tabu,
+    SearchMethod.GRASP: _grasp,
     SearchMethod.SCATTER: _coeff_scatter,
-    SearchMethod.HYBRID: _coeff_hybrid,
+    SearchMethod.HYBRID: lambda run, params: _hybrid(run, params, _CONSTRUCTION_SHARE),
 }
 
 
@@ -446,11 +368,7 @@ def search_coefficients_full(
         )
     params = params or CoeffSearchParams()
     problem = _CoeffProblem(ds, cfg, kind)
-    run = _Run(budget, score=problem.fitness)
-    try:
-        _COEFF_ENGINES[method](run, problem, params)
-    except _SearchStop:
-        pass
+    run = _CoeffRun(budget, problem, params).drive(_COEFF_ENGINES[method], params)
     theta = np.array(run.best, dtype=float)
     outcome = CoeffSearchOutcome(
         coefficients=unflatten_coefficients(theta, cfg, ds),

@@ -2,9 +2,9 @@
 
 All equations share one design matrix, so a single QR factorization of X
 solves every column of Y simultaneously.  Rank deficiency is detected from
-the pivoted R diagonal and reported loudly instead of being regularized
-away: criterion comparisons across configurations assume exact least
-squares.
+the pivoted R diagonal, relative to each column's norm, and reported loudly
+instead of being regularized away: criterion comparisons across
+configurations assume exact least squares.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ __all__ = [
     "DEGENERATE_RTOL",
 ]
 
-# Pivoted-R diagonal ratio below which X is declared rank deficient.
+# Ratio of a pivoted-R diagonal to its column's norm below which X is
+# declared rank deficient.
 RANK_RTOL = 1e-10
 
 # Residual norm below DEGENERATE_RTOL * ||Y||_F marks a perfect fit; its
@@ -59,8 +60,9 @@ def solve_least_squares(sys: RegressionSystem) -> np.ndarray:
     Raises
     ------
     RankDeficientError
-        When the smallest pivoted R diagonal falls below ``RANK_RTOL``
-        relative to the largest; carries the detected rank.
+        When a pivoted R diagonal falls below ``RANK_RTOL`` relative to
+        the norm of its column of X, so that rescaling a column never
+        changes the verdict; carries the detected rank.
     """
     x, y = sys.x, sys.y
     if x.shape[0] <= x.shape[1]:
@@ -68,10 +70,12 @@ def solve_least_squares(sys: RegressionSystem) -> np.ndarray:
             [f"need T' > K for a determined system, got T'={x.shape[0]}, K={x.shape[1]}"]
         )
     q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag[0] == 0.0:
-        raise RankDeficientError(0, x.shape[1])
-    rank = int(np.sum(diag >= RANK_RTOL * diag[0]))
+    # ||x_piv[j]|| = ||R[:, j]||, taken on R scaled per column so that no
+    # square overflows or underflows; a zero column gives 0 / 0, which fails
+    with np.errstate(invalid="ignore"):
+        unit = r / np.abs(r).max(axis=0)
+        ratios = np.abs(np.diag(unit)) / np.linalg.norm(unit, axis=0)
+    rank = int(np.sum(ratios >= RANK_RTOL))
     if rank < x.shape[1]:
         raise RankDeficientError(rank, x.shape[1])
     z = q.T @ y

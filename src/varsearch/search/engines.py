@@ -1,8 +1,21 @@
-"""Search engines over the configuration space.
+"""Search engines over the configuration space and the coefficient space.
 
 One exact method (exhaustive) and five metaheuristics (genetic algorithm,
-tabu search, GRASP, scatter search, and a GRASP+tabu hybrid).  All engines
-share the same accounting rules:
+tabu search, GRASP, scatter search, and a GRASP+tabu hybrid).  The GA
+(``_ga``), tabu search (``_tabu``), GRASP construction (``_construct``),
+steepest descent (``_descend``) and the hybrid (``_hybrid``) are written
+once.  They drive a space's ``_Run``, which keeps budget, stagnation, the
+best candidate, the trajectory and the random streams, and supplies the
+operators: ``score(candidates) -> keys`` (scoring and recording the fresh
+ones), ``sample``, ``moves`` as ``(attr, abandoned, candidate)``,
+``crossover``, ``mutate``, ``genome_length``, ``construction`` (a start
+and one trial builder per dimension) and ``anchor`` (what a multistart
+engine scores before its first round).  ``_SearchRun`` here is the
+configuration space, ``coeffsearch._CoeffRun`` the coefficient space.
+Scatter search stays two engines, as the two algorithms differ beyond
+their operators (see ``scatter_search``); both use the shared descent.
+
+In the configuration space:
 
 * the budget counts distinct candidates scored, not least-squares fits;
   revisiting a cached candidate is free,
@@ -16,12 +29,12 @@ share the same accounting rules:
 
 Candidates are scored by ``CrossProductEvaluator``, which returns the
 criterion value pivoted QR would give wherever that could change a
-comparison.  The run bookkeeper ``_Run`` and the tabu step ``_tabu_step``
-serve the coefficient-space engines of ``varsearch.coeffsearch`` too.
+comparison.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,18 +144,16 @@ class _SearchStop(Exception):
 class _Run:
     """Budget, stagnation, best and trajectory bookkeeping of one search.
 
-    Shared by the configuration and the coefficient engines.  ``record``
-    counts one scored candidate and keeps the best by ``key``; the search
-    stops once ``limit`` candidates have been scored (the budget, or fewer
-    when the whole space is smaller) or after ``stagnation_limit`` scored
-    candidates and stalled iterations without an improvement.  ``evaluate``
-    scores and records a candidate with ``score``; the coefficient engines
-    use it, the configuration engines score through ``_SearchRun``.
+    A space subclasses it with the operators the shared engines call (see
+    the module docstring).  ``record`` counts one scored candidate and
+    keeps the best by ``key``; the search stops once ``limit`` candidates
+    have been scored (the budget, or fewer when the whole space is smaller)
+    or after ``stagnation_limit`` scored candidates and stalled iterations
+    without an improvement.
     """
 
-    def __init__(self, budget: SearchBudget, score=None, limit=math.inf):
+    def __init__(self, budget: SearchBudget, limit=math.inf):
         self.budget = budget
-        self.score = score
         self.limit = min(budget.max_evaluations, limit)
         self.evaluations_used = 0
         self.best_key = None
@@ -173,10 +184,20 @@ class _Run:
         if self.stagnation >= self.budget.stagnation_limit:
             raise _SearchStop
 
-    def evaluate(self, candidate) -> float:
-        value = self.score(candidate)
-        self.record(value, value, candidate)
-        return value
+    def drive(self, engine, *args):
+        """Run ``engine(self, *args)`` until the search stops."""
+        try:
+            engine(self, *args)
+        except _SearchStop:
+            pass
+        return self
+
+    def anchor(self) -> None:
+        """Score what a multistart engine scores before its first round."""
+
+    def current_key(self, candidate, key):
+        """The key of a scored candidate now; ``key`` unless it can change."""
+        return key
 
 
 def _tabu_step(moves, tabu_until, iteration, tenure, best_key):
@@ -196,8 +217,134 @@ def _tabu_step(moves, tabu_until, iteration, tenure, best_key):
     return candidate
 
 
+def _tabu_move(run: _Run, current, tabu_until, iteration, tenure):
+    """Score the moves of ``current`` and take one tabu step among them."""
+    moves = run.moves(current)
+    keys = run.score([c for _, _, c in moves])
+    scored = [(key, attr, old, c) for key, (attr, old, c) in zip(keys, moves)]
+    return _tabu_step(scored, tabu_until, iteration, tenure, run.best_key)
+
+
+def _descend(run: _Run, current, key):
+    """Move to the best neighbour while it strictly improves the key.
+
+    Ties go to the earliest move.  Returns the local optimum and its key.
+    """
+    while True:
+        neighbours = [c for _, _, c in run.moves(current)]
+        keys = run.score(neighbours)
+        best = min(range(len(keys)), key=keys.__getitem__)
+        key = run.current_key(current, key)
+        if not keys[best] < key:
+            return current, key
+        current, key = neighbours[best], keys[best]
+
+
+def _construct(run: _Run, rng: np.random.Generator, alpha: float):
+    """Greedy randomized construction, one dimension at a time.
+
+    Each dimension's trials are scored and one is drawn uniformly from the
+    restricted candidate list, the best ``ceil(alpha * trials)`` (ties to
+    the earlier trial).  Returns the constructed candidate and its key.
+    """
+    current, dimensions = run.construction()
+    for trials_of in dimensions:
+        trials = trials_of(current)
+        keys = run.score(trials)
+        ranked = sorted(range(len(trials)), key=keys.__getitem__)
+        rcl = ranked[: max(1, math.ceil(alpha * len(ranked)))]
+        current = trials[rcl[int(rng.integers(0, len(rcl)))]]
+    return current, run.score([current])[0]
+
+
+def _ga(run: _Run, params) -> None:
+    """Generational GA: tournament selection, crossover, mutation, elitism.
+
+    ``params`` carries ``population_size``, ``tournament_size``,
+    ``crossover_rate``, ``mutation_rate`` (None: one over the genome
+    length) and ``elitism``.
+    """
+    ops_rng = run.rng(_STREAM_OPS)
+    rate = params.mutation_rate
+    if rate is None:
+        rate = 1.0 / run.genome_length
+    population = run.sample(run.rng(_STREAM_INIT), params.population_size)
+    keys = run.score(population)
+
+    def tournament():
+        picks = ops_rng.integers(0, len(population), size=params.tournament_size)
+        return population[min(picks.tolist(), key=keys.__getitem__)]
+
+    while True:
+        before = run.evaluations_used
+        ranked = sorted(range(len(population)), key=keys.__getitem__)
+        offspring = [population[i] for i in ranked[: params.elitism]]
+        while len(offspring) < len(population):
+            child = tournament()
+            parent_b = tournament()
+            if ops_rng.random() < params.crossover_rate:
+                child = run.crossover(child, parent_b, ops_rng)
+            offspring.append(run.mutate(child, ops_rng, rate))
+        keys = run.score(offspring)
+        population = offspring
+        if run.evaluations_used == before:
+            run.stall()
+
+
+def _tabu(run: _Run, params) -> None:
+    """Best-move tabu search from one sampled start; ``params.tenure``."""
+    current = run.sample(run.rng(_STREAM_INIT), 1)[0]
+    run.score([current])
+    tabu_until = {}
+    for iteration in itertools.count(1):
+        before = run.evaluations_used
+        current = _tabu_move(run, current, tabu_until, iteration, params.tenure)
+        if run.evaluations_used == before:
+            run.stall()
+
+
+def _grasp(run: _Run, params) -> None:
+    """Multistart GRASP: construction (``params.alpha``) plus steepest descent."""
+    run.anchor()
+    for round_index in itertools.count():
+        before = run.evaluations_used
+        rng = run.rng(_STREAM_ROUND_BASE + round_index)
+        _descend(run, *_construct(run, rng, params.alpha))
+        if run.evaluations_used == before:
+            run.stall()
+
+
+def _hybrid(run: _Run, params, share: float) -> None:
+    """GRASP construction feeding a tabu phase, round after round.
+
+    A round's tabu phase may score ``(1 - share) / share`` times what its
+    construction scored (at least one candidate); the tabu list is cleared
+    between rounds.  ``params`` carries ``alpha`` and ``tenure``.
+    """
+    multiplier = (1.0 - share) / share
+    run.anchor()
+    for round_index in itertools.count():
+        before = run.evaluations_used
+        rng = run.rng(_STREAM_ROUND_BASE + round_index)
+        current, _ = _construct(run, rng, params.alpha)
+        construction_cost = max(1, run.evaluations_used - before)
+        allowance = max(1, round(construction_cost * multiplier))
+        tabu_until = {}
+        iteration = 0
+        phase_start = run.evaluations_used
+        while run.evaluations_used - phase_start < allowance:
+            iteration += 1
+            step_before = run.evaluations_used
+            current = _tabu_move(run, current, tabu_until, iteration, params.tenure)
+            if run.evaluations_used == step_before:
+                break
+        if run.evaluations_used == before:
+            run.stall()
+
+
 class _SearchRun(_Run):
-    """A configuration search: the evaluator's cache and the candidate log.
+    """The configuration space: genomes ``(p, q, bits)``, scored through the
+    evaluator's cache, with the candidate log.
 
     Its limit is the size of the raw space, as no genome is scored twice.
     """
@@ -209,11 +356,16 @@ class _SearchRun(_Run):
         self.evaluator = CrossProductEvaluator(ds, space, kind)
         self.cache = self.evaluator.values
         self.candidate_log = []
+        self.genome_length = 2 + space.n_bits
 
     def key_of(self, genome) -> tuple:
         order = self.space.genome_order_key(genome)
         value, n_params = self.cache[order]
         return (value, n_params, order)
+
+    def current_key(self, genome, key) -> tuple:
+        # the evaluator may since have replaced a screened value by QR's
+        return self.key_of(genome)
 
     def evaluate_batch(self, genomes) -> None:
         """Score the uncached genomes one at a time, in batch order.
@@ -230,6 +382,100 @@ class _SearchRun(_Run):
             value, n_params, fit_result = self.evaluator.evaluate(cfg, order, best)
             self.candidate_log.append((cfg, value))
             self.record(value, (value, n_params, order), (genome, fit_result))
+
+    def score(self, genomes) -> list:
+        self.evaluate_batch(genomes)
+        return [self.key_of(g) for g in genomes]
+
+    def sample(self, rng: np.random.Generator, count: int) -> list:
+        """Distinct genomes, uniform over the raw space."""
+        space = self.space
+        raw = space.raw_size()
+        count = min(count, raw)
+        if raw <= _DISTINCT_SAMPLE_MATERIALIZE:
+            # index -> (p, q, mask) in raw order: p outermost, mask innermost
+            out = []
+            for index in rng.choice(raw, size=count, replace=False).tolist():
+                p, rem = divmod(index, (space.q_max + 1) * space.mask_count)
+                q, mask = divmod(rem, space.mask_count)
+                bits = tuple((mask >> i) & 1 for i in range(space.n_bits))
+                out.append((p + 1, q, bits))
+            return out
+        out = []
+        seen = set()
+        attempts = 0
+        while len(out) < count and attempts < 1000 * count:
+            attempts += 1
+            p = int(rng.integers(1, space.p_max + 1))
+            q = int(rng.integers(0, space.q_max + 1))
+            bits = tuple(int(b) for b in rng.integers(0, 2, size=space.n_bits))
+            genome = (p, q, bits)
+            order = space.genome_order_key(genome)
+            if order in seen:
+                continue
+            seen.add(order)
+            out.append(genome)
+        return out
+
+    def moves(self, genome) -> list:
+        """Deterministically ordered one-step moves: p +/- 1, q +/- 1, bit flips.
+
+        Each move is ``(attr, abandoned_attr, neighbour)``.  A space of one
+        genome has none, but its search stops at its first evaluation.
+        """
+        p, q, bits = genome
+        out = []
+        for new_p in (p - 1, p + 1):
+            if 1 <= new_p <= self.space.p_max:
+                out.append((("p", new_p), ("p", p), (new_p, q, bits)))
+        for new_q in (q - 1, q + 1):
+            if 0 <= new_q <= self.space.q_max:
+                out.append((("q", new_q), ("q", q), (p, new_q, bits)))
+        for i in range(len(bits)):
+            flipped = bits[:i] + (bits[i] ^ 1,) + bits[i + 1 :]
+            out.append((("bit", i), ("bit", i), (p, q, flipped)))
+        return out
+
+    def crossover(self, g1, g2, rng: np.random.Generator):
+        """Uniform crossover, gene by gene."""
+        p = g1[0] if rng.random() < 0.5 else g2[0]
+        q = g1[1] if rng.random() < 0.5 else g2[1]
+        bits = tuple(a if rng.random() < 0.5 else b for a, b in zip(g1[2], g2[2]))
+        return (p, q, bits)
+
+    def mutate(self, genome, rng: np.random.Generator, rate: float):
+        """Step p and q by +/- 1 (clamped) and flip bits, each with ``rate``."""
+        p, q, bits = genome
+        if rng.random() < rate:
+            step = -1 if rng.random() < 0.5 else 1
+            p = min(self.space.p_max, max(1, p + step))
+        if rng.random() < rate:
+            step = -1 if rng.random() < 0.5 else 1
+            q = min(self.space.q_max, max(0, q + step))
+        new_bits = list(bits)
+        for i in range(len(bits)):
+            if rng.random() < rate:
+                new_bits[i] ^= 1
+        return (p, q, tuple(new_bits))
+
+    def construction(self):
+        """From (p=1, q=0, dataset roles) fix p, then q, then each bit."""
+        space = self.space
+        start = (1, 0, tuple(int(self.ds.base_mask[i]) for i in space.switchable))
+
+        def set_p(g):
+            return [(p, g[1], g[2]) for p in range(1, space.p_max + 1)]
+
+        def set_q(g):
+            return [(g[0], q, g[2]) for q in range(space.q_max + 1)]
+
+        def set_bit(i):
+            return lambda g: [
+                (g[0], g[1], g[2][:i] + (b,) + g[2][i + 1 :]) for b in (0, 1)
+            ]
+
+        dimensions = [set_p] + ([set_q] if space.q_max > 0 else [])
+        return start, dimensions + [set_bit(i) for i in range(space.n_bits)]
 
     def finalize(self, method: str) -> SearchResult:
         if self.best is None:
@@ -250,88 +496,6 @@ class _SearchRun(_Run):
             skipped_invalid=skipped,
             method=method,
         )
-
-
-def _genome_from_index(space: SearchSpace, index: int):
-    mask_count = space.mask_count
-    per_p = (space.q_max + 1) * mask_count
-    p = 1 + index // per_p
-    rem = index % per_p
-    q = rem // mask_count
-    mask_int = rem % mask_count
-    bits = tuple((mask_int >> i) & 1 for i in range(space.n_bits))
-    return (p, q, bits)
-
-
-def _random_genome(space: SearchSpace, rng: np.random.Generator):
-    p = int(rng.integers(1, space.p_max + 1))
-    q = int(rng.integers(0, space.q_max + 1))
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=space.n_bits))
-    return (p, q, bits)
-
-
-def _sample_distinct(space: SearchSpace, rng: np.random.Generator, count: int):
-    """Distinct genomes, uniform over the raw space."""
-    raw = space.raw_size()
-    count = min(count, raw)
-    if raw <= _DISTINCT_SAMPLE_MATERIALIZE:
-        picks = rng.choice(raw, size=count, replace=False)
-        return [_genome_from_index(space, int(i)) for i in picks]
-    out = []
-    seen = set()
-    attempts = 0
-    while len(out) < count and attempts < 1000 * count:
-        attempts += 1
-        genome = _random_genome(space, rng)
-        order = space.genome_order_key(genome)
-        if order in seen:
-            continue
-        seen.add(order)
-        out.append(genome)
-    return out
-
-
-def _moves(space: SearchSpace, genome):
-    """Deterministically ordered one-step moves: p +/- 1, q +/- 1, bit flips.
-
-    Each move is ``(attr, abandoned_attr, neighbor)`` for the tabu step.
-    A space of one genome has none, but its search stops at its first
-    evaluation.
-    """
-    p, q, bits = genome
-    out = []
-    for new_p in (p - 1, p + 1):
-        if 1 <= new_p <= space.p_max:
-            out.append((("p", new_p), ("p", p), (new_p, q, bits)))
-    for new_q in (q - 1, q + 1):
-        if 0 <= new_q <= space.q_max:
-            out.append((("q", new_q), ("q", q), (p, new_q, bits)))
-    for i in range(len(bits)):
-        flipped = bits[:i] + (bits[i] ^ 1,) + bits[i + 1 :]
-        out.append((("bit", i), ("bit", i), (p, q, flipped)))
-    return out
-
-
-def _steepest_descent(run: _SearchRun, genome):
-    """Move to the best neighbor while it strictly improves the key."""
-    current = genome
-    run.evaluate_batch([current])
-    while True:
-        neighborhood = [g for _, _, g in _moves(run.space, current)]
-        run.evaluate_batch(neighborhood)
-        best = min(neighborhood, key=run.key_of)
-        if run.key_of(best) < run.key_of(current):
-            current = best
-        else:
-            return current
-
-
-def _tabu_move(run: _SearchRun, current, tabu_until, iteration, tenure):
-    """Score the neighbors of ``current`` and take one tabu step among them."""
-    moves = _moves(run.space, current)
-    run.evaluate_batch([g for _, _, g in moves])
-    scored = [(run.key_of(g), attr, old, g) for attr, old, g in moves]
-    return _tabu_step(scored, tabu_until, iteration, tenure, run.best_key)
 
 
 @one_blas_thread()
@@ -370,13 +534,9 @@ def exhaustive_search(
         stagnation_limit=len(configs) + 1,
         master_seed=budget.master_seed if budget else 0,
     )
-    run = _SearchRun(ds, space, kind, budget)
     genomes = [space.genome_for(cfg) for cfg in configs]
-    try:
-        run.evaluate_batch(genomes)
-    except _SearchStop:
-        pass
-    return run.finalize("exhaustive")
+    run = _SearchRun(ds, space, kind, budget)
+    return run.drive(lambda run: run.evaluate_batch(genomes)).finalize("exhaustive")
 
 
 @one_blas_thread()
@@ -392,64 +552,8 @@ def ga_search(
     The initial population is a distinct uniform sample, so a budget equal
     to the population size returns the best of the initial population.
     """
-    params = params or GAParams()
     run = _SearchRun(ds, space, kind, budget)
-    init_rng = run.rng(_STREAM_INIT)
-    ops_rng = run.rng(_STREAM_OPS)
-    n_bits = space.n_bits
-    genome_len = 2 + n_bits
-    mut_rate = params.mutation_rate
-    if mut_rate is None:
-        mut_rate = 1.0 / genome_len
-
-    def mutate(genome):
-        p, q, bits = genome
-        if ops_rng.random() < mut_rate:
-            step = -1 if ops_rng.random() < 0.5 else 1
-            p = min(space.p_max, max(1, p + step))
-        if ops_rng.random() < mut_rate:
-            step = -1 if ops_rng.random() < 0.5 else 1
-            q = min(space.q_max, max(0, q + step))
-        new_bits = list(bits)
-        for i in range(n_bits):
-            if ops_rng.random() < mut_rate:
-                new_bits[i] ^= 1
-        return (p, q, tuple(new_bits))
-
-    def crossover(g1, g2):
-        p = g1[0] if ops_rng.random() < 0.5 else g2[0]
-        q = g1[1] if ops_rng.random() < 0.5 else g2[1]
-        bits = tuple(
-            g1[2][i] if ops_rng.random() < 0.5 else g2[2][i] for i in range(n_bits)
-        )
-        return (p, q, bits)
-
-    def tournament(pop):
-        picks = ops_rng.integers(0, len(pop), size=params.tournament_size)
-        return min((pop[int(i)] for i in picks), key=run.key_of)
-
-    try:
-        population = _sample_distinct(space, init_rng, params.population_size)
-        run.evaluate_batch(population)
-        while True:
-            before = run.evaluations_used
-            ranked = sorted(population, key=run.key_of)
-            offspring = ranked[: params.elitism]
-            while len(offspring) < len(population):
-                parent_a = tournament(population)
-                parent_b = tournament(population)
-                if ops_rng.random() < params.crossover_rate:
-                    child = crossover(parent_a, parent_b)
-                else:
-                    child = parent_a
-                offspring.append(mutate(child))
-            run.evaluate_batch(offspring)
-            population = offspring
-            if run.evaluations_used == before:
-                run.stall()
-    except _SearchStop:
-        pass
-    return run.finalize("ga")
+    return run.drive(_ga, params or GAParams()).finalize("ga")
 
 
 @one_blas_thread()
@@ -467,56 +571,8 @@ def tabu_search(
     the global best (aspiration).  If every neighbor is tabu the best one
     is taken anyway.
     """
-    params = params or TabuParams()
     run = _SearchRun(ds, space, kind, budget)
-    init_rng = run.rng(_STREAM_INIT)
-    try:
-        current = _sample_distinct(space, init_rng, 1)[0]
-        run.evaluate_batch([current])
-        tabu_until = {}
-        iteration = 0
-        while True:
-            iteration += 1
-            before = run.evaluations_used
-            current = _tabu_move(run, current, tabu_until, iteration, params.tenure)
-            if run.evaluations_used == before:
-                run.stall()
-    except _SearchStop:
-        pass
-    return run.finalize("tabu")
-
-
-def _grasp_construct(run: _SearchRun, rng: np.random.Generator, alpha: float):
-    """Greedy randomized construction, one dimension at a time.
-
-    Starts from (p=1, q=0, dataset roles) and fixes p, then q, then each
-    switchable bit, choosing uniformly from the restricted candidate list
-    of the best trial values.
-    """
-    space = run.space
-    base_bits = tuple(
-        int(run.ds.base_mask[i]) for i in space.switchable
-    )
-    current = (1, 0, base_bits)
-
-    def pick(trials):
-        run.evaluate_batch([g for g, _ in trials])
-        ranked = sorted(trials, key=lambda t: run.key_of(t[0]))
-        rcl = ranked[: max(1, math.ceil(alpha * len(ranked)))]
-        return rcl[int(rng.integers(0, len(rcl)))][0]
-
-    p_trials = [((p, current[1], current[2]), p) for p in range(1, space.p_max + 1)]
-    current = pick(p_trials)
-    if space.q_max > 0:
-        q_trials = [((current[0], q, current[2]), q) for q in range(space.q_max + 1)]
-        current = pick(q_trials)
-    for i in range(space.n_bits):
-        choices = []
-        for b in (0, 1):
-            bits = tuple(b if j == i else v for j, v in enumerate(current[2]))
-            choices.append(((current[0], current[1], bits), b))
-        current = pick(choices)
-    return current
+    return run.drive(_tabu, params or TabuParams()).finalize("tabu")
 
 
 @one_blas_thread()
@@ -527,22 +583,13 @@ def grasp_search(
     budget: SearchBudget,
     params: GraspParams | None = None,
 ) -> SearchResult:
-    """Multistart GRASP: randomized construction plus steepest descent."""
-    params = params or GraspParams()
+    """Multistart GRASP: randomized construction plus steepest descent.
+
+    The construction starts from (p=1, q=0, dataset roles) and fixes p,
+    then q, then each switchable bit.
+    """
     run = _SearchRun(ds, space, kind, budget)
-    try:
-        round_index = 0
-        while True:
-            before = run.evaluations_used
-            rng = run.rng(_STREAM_ROUND_BASE + round_index)
-            constructed = _grasp_construct(run, rng, params.alpha)
-            _steepest_descent(run, constructed)
-            if run.evaluations_used == before:
-                run.stall()
-            round_index += 1
-    except _SearchStop:
-        pass
-    return run.finalize("grasp")
+    return run.drive(_grasp, params or GraspParams()).finalize("grasp")
 
 
 def _hamming(g1, g2) -> int:
@@ -569,6 +616,53 @@ def _select_diverse(candidates, refset, count):
     return added
 
 
+def _scatter(run: _SearchRun, params: ScatterParams) -> None:
+    space = run.space
+    if space.raw_size() <= params.ref_size:
+        run.evaluate_batch(list(space.iter_genomes()))
+        return
+    init_rng = run.rng(_STREAM_INIT)
+    ops_rng = run.rng(_STREAM_OPS)
+
+    def combine(g1, g2):
+        p = min(space.p_max, max(1, (g1[0] + g2[0]) // 2))
+        # majority vote of two: agreeing bits stay, the others are drawn
+        bits = [
+            a if a == b else int(ops_rng.integers(0, 2)) for a, b in zip(g1[2], g2[2])
+        ]
+        return (p, (g1[1] + g2[1]) // 2, tuple(bits))
+
+    def build_refset(pool):
+        ranked = sorted(set(pool), key=run.key_of)
+        best = ranked[: params.n_best]
+        rest = ranked[params.n_best :]
+        diverse = _select_diverse(rest, best or rest[:1], params.ref_size - len(best))
+        return best + diverse
+
+    def descend(genome):
+        return _descend(run, genome, run.key_of(genome))[0]
+
+    pool = run.sample(init_rng, params.initial_pool_size)
+    run.evaluate_batch(pool)
+    refset = [descend(g) for g in build_refset(pool)]
+    while True:
+        before = run.evaluations_used
+        children = []
+        for i in range(len(refset)):
+            for j in range(i + 1, len(refset)):
+                children.append(combine(refset[i], refset[j]))
+        run.evaluate_batch(children)
+        children = [descend(c) for c in children]
+        refset = build_refset(refset + children)
+        if run.evaluations_used == before:
+            refresh = run.sample(ops_rng, params.initial_pool_size)
+            run.evaluate_batch(refresh)
+            if run.evaluations_used == before:
+                run.stall()
+            else:
+                refset = build_refset(refset + refresh)
+
+
 @one_blas_thread()
 def scatter_search(
     ds: TimeSeriesDataset,
@@ -580,64 +674,16 @@ def scatter_search(
     """Scatter search over a small reference set.
 
     The reference set mixes the best solutions with the most diverse ones
-    (greedy max-min Hamming distance).  Pairs combine by integer midpoint
-    on the lag orders and majority vote on the partition bits, with random
-    tie-breaks; children are improved by steepest descent.  A space no
-    larger than the reference set is swept exhaustively instead.
+    (greedy max-min Hamming distance, ties to the larger genome string),
+    without duplicates; the first reference set and every child are
+    improved by steepest descent.  Pairs combine by integer midpoint on the
+    lag orders and majority vote on the partition bits, with random
+    tie-breaks.  A round that scores nothing refreshes the reference set
+    with a new sample.  A space no larger than the reference set is swept
+    exhaustively instead.
     """
-    params = params or ScatterParams()
     run = _SearchRun(ds, space, kind, budget)
-    try:
-        if space.raw_size() <= params.ref_size:
-            run.evaluate_batch(list(space.iter_genomes()))
-            raise _SearchStop
-        init_rng = run.rng(_STREAM_INIT)
-        ops_rng = run.rng(_STREAM_OPS)
-
-        def combine(g1, g2):
-            p = (g1[0] + g2[0]) // 2
-            p = min(space.p_max, max(1, p))
-            q = (g1[1] + g2[1]) // 2
-            bits = []
-            for a, b in zip(g1[2], g2[2]):
-                if a == b:
-                    bits.append(a)
-                else:
-                    bits.append(int(ops_rng.integers(0, 2)))
-            return (p, q, tuple(bits))
-
-        def build_refset(pool):
-            ranked = sorted(set(pool), key=run.key_of)
-            best = ranked[: params.n_best]
-            rest = [g for g in ranked[params.n_best :]]
-            diverse = _select_diverse(rest, best or rest[:1], params.ref_size - len(best))
-            return best + diverse
-
-        pool = _sample_distinct(space, init_rng, params.initial_pool_size)
-        run.evaluate_batch(pool)
-        refset = build_refset(pool)
-        refset = [_steepest_descent(run, g) for g in refset]
-        while True:
-            before = run.evaluations_used
-            children = []
-            for i in range(len(refset)):
-                for j in range(i + 1, len(refset)):
-                    children.append(combine(refset[i], refset[j]))
-            run.evaluate_batch(children)
-            children = [_steepest_descent(run, c) for c in children]
-            refset = build_refset(refset + children)
-            if run.evaluations_used == before:
-                refresh = _sample_distinct(
-                    space, ops_rng, params.initial_pool_size
-                )
-                run.evaluate_batch(refresh)
-                if run.evaluations_used == before:
-                    run.stall()
-                else:
-                    refset = build_refset(refset + refresh)
-    except _SearchStop:
-        pass
-    return run.finalize("scatter")
+    return run.drive(_scatter, params or ScatterParams()).finalize("scatter")
 
 
 @one_blas_thread()
@@ -650,34 +696,10 @@ def hybrid_search(
 ) -> SearchResult:
     """GRASP construction feeding a tabu improvement phase.
 
-    Each round spends roughly 30% of its evaluations on construction and
-    70% on tabu refinement of the constructed solution; the tabu list is
-    cleared between rounds.
+    Each round spends roughly ``construction_share`` (30% by default) of
+    its evaluations on construction and the rest on tabu refinement of the
+    constructed solution; the tabu list is cleared between rounds.
     """
     params = params or HybridParams()
     run = _SearchRun(ds, space, kind, budget)
-    share = params.construction_share
-    multiplier = (1.0 - share) / share
-    try:
-        round_index = 0
-        while True:
-            before = run.evaluations_used
-            rng = run.rng(_STREAM_ROUND_BASE + round_index)
-            current = _grasp_construct(run, rng, params.alpha)
-            construction_cost = max(1, run.evaluations_used - before)
-            allowance = max(1, round(construction_cost * multiplier))
-            tabu_until = {}
-            iteration = 0
-            phase_start = run.evaluations_used
-            while run.evaluations_used - phase_start < allowance:
-                iteration += 1
-                step_before = run.evaluations_used
-                current = _tabu_move(run, current, tabu_until, iteration, params.tenure)
-                if run.evaluations_used == step_before:
-                    break
-            if run.evaluations_used == before:
-                run.stall()
-            round_index += 1
-    except _SearchStop:
-        pass
-    return run.finalize("hybrid")
+    return run.drive(_hybrid, params, params.construction_share).finalize("hybrid")

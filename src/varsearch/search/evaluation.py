@@ -275,13 +275,14 @@ class CrossProductEvaluator:
         r, info = lapack.dpotrf(block)
         if info != 0:
             return None
-        # QR flags rank when a pivoted diagonal ratio falls below RANK_RTOL,
-        # and every such ratio is at least 1 / cond_2(X) >= 1 / (K cond_1(R))
+        # QR flags rank when a pivoted diagonal falls below RANK_RTOL times
+        # its column's norm, and every such ratio is at least
+        # 1 / cond_2(X D^-1) >= 1 / (K cond_1(R D^-1)), D the column norms
         r_raw = r[:k, :k]
         if cfg.include_constant:
             r_raw = r_raw.copy()
             r_raw[0, 1:] += r[0, 0] * mean_x
-        rcond, _ = lapack.dtrcon(r_raw)
+        rcond, _ = lapack.dtrcon(r_raw / np.linalg.norm(r_raw, axis=0))
         if not rcond > 10.0 * k * RANK_RTOL:
             return None
         r_yy = r[k:, k:]

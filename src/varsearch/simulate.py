@@ -121,6 +121,17 @@ class GeneratorSpec:
             )
 
 
+def _var_mean(coef: CoefficientSet, constant, y, z, j: int) -> np.ndarray:
+    """Row j of the system without noise: constant + sum_i y[j-i] A_i +
+    sum_i z[j-i] B_i, summed in that order."""
+    row = constant.copy()
+    for i, a in enumerate(coef.a, start=1):
+        row += y[j - i] @ a
+    for i, b in enumerate(coef.b, start=1):
+        row += z[j - i] @ b
+    return row
+
+
 def generate(spec: GeneratorSpec) -> TimeSeriesDataset:
     """Simulate the system and return the post-burn-in sample.
 
@@ -157,11 +168,7 @@ def generate(spec: GeneratorSpec) -> TimeSeriesDataset:
         y[:row_start] = spec.initial_state
     constant = coef.c[0] if coef.c is not None else np.zeros(n)
     for j in range(row_start, total):
-        row = constant.copy()
-        for i in range(1, p + 1):
-            row += y[j - i] @ coef.a[i - 1]
-        for i in range(1, q + 1):
-            row += z[j - i] @ coef.b[i - 1]
+        row = _var_mean(coef, constant, y, z, j)
         if spec.noise_scale > 0:
             row += rng.normal(0.0, spec.noise_scale, size=n)
         y[j] = row
@@ -261,21 +268,12 @@ def forecast(
             )
         if not np.all(np.isfinite(future_z)):
             raise ForecastInputError("future_z must be finite")
-    if q > 0:
-        hist_z = ds.observations[:, indep_cols]
-        if needs_future:
-            z_ext = np.vstack([hist_z, future_z[: horizon - 1]])
-        else:
-            z_ext = hist_z
+    z_ext = ds.observations[:, indep_cols]
+    if needs_future:
+        z_ext = np.vstack([z_ext, future_z[: horizon - 1]])
     constant = coef.c[0] if coef.c is not None else np.zeros(n)
 
     y_ext = np.vstack([hist_y, np.zeros((horizon, n))])
-    for h in range(horizon):
-        j = t_obs + h
-        row = constant.copy()
-        for i in range(1, p + 1):
-            row += y_ext[j - i] @ coef.a[i - 1]
-        for i in range(1, q + 1):
-            row += z_ext[j - i] @ coef.b[i - 1]
-        y_ext[j] = row
+    for j in range(t_obs, t_obs + horizon):
+        y_ext[j] = _var_mean(coef, constant, y_ext, z_ext, j)
     return y_ext[t_obs:]

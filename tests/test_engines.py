@@ -327,6 +327,33 @@ class TestTabuStep:
         assert tabu_until["y"] == 6
 
 
+class TestDescent:
+    """The one steepest descent both engine families improve with."""
+
+    def test_compares_with_the_value_the_evaluator_holds_now(self):
+        # scoring the neighbours can make the evaluator replace a screened
+        # value of the current genome by its QR value; the descent compares
+        # the neighbours with that value, not the one it started from
+        ds, space = small_space_problem()
+        budget = SearchBudget(65, 65)
+        run = engines._SearchRun(ds, space, CriterionKind.AIC, budget)
+        start = (1, 0, (1, 1))
+        optimum, _ = engines._descend(run, start, run.score([start])[0])
+        run = engines._SearchRun(ds, space, CriterionKind.AIC, budget)
+        key = run.score([optimum])[0]
+        worst = max(run.score([g for _, _, g in run.moves(optimum)]))
+        batch = run.evaluate_batch
+
+        def recertifying(genomes):
+            batch(genomes)
+            run.cache[key[2]] = (worst[0] + 1.0, key[1])
+
+        run.evaluate_batch = recertifying
+        moved, moved_key = engines._descend(run, optimum, key)
+        assert moved != optimum
+        assert moved_key < run.key_of(optimum)
+
+
 class TestParamValidation:
     def test_ga_params(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,24 @@ def test_duplicated_column_raises_rank_deficient():
     assert info.value.detected_rank < info.value.n_columns
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-12, 1.0, 1e12, 1e150])
+def test_rank_verdict_does_not_depend_on_column_scale(scale):
+    from varsearch.design import RegressionSystem
+
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(40, 3))
+    cfg = ModelConfig(p=1, q=0, dependent_mask=(True,))
+    sys = RegressionSystem(y=rng.normal(size=(40, 1)), x=x * [1.0, scale, 1.0],
+                           config=cfg, row_start=1)
+    assert np.all(np.isfinite(solve_least_squares(sys)))
+    # a column that is a scaled copy of another stays deficient at any scale
+    x[:, 2] = x[:, 1]
+    sys = RegressionSystem(y=sys.y, x=x * [1.0, scale, 1.0], config=cfg, row_start=1)
+    with pytest.raises(RankDeficientError) as info:
+        solve_least_squares(sys)
+    assert info.value.detected_rank == 2
+
+
 def test_recovers_planted_coefficients():
     rng = np.random.default_rng(42)
     x = rng.normal(size=(50, 5))

@@ -3,6 +3,8 @@
 The values below were recorded from the engines before the configuration
 and coefficient engines came to share one tabu step, one run bookkeeper and
 one residual scorer; any refactor of that shared code must reproduce them.
+The pins for non-default parameters were recorded before both spaces came
+to run one GA, one tabu search, one GRASP and one hybrid.
 Besides the evaluation count, the trajectory and the best answer, the
 configuration engines pin a digest of the order in which candidates were
 scored, so a change in which neighbour a tabu step takes shows even when
@@ -17,12 +19,17 @@ import numpy as np
 import pytest
 
 from varsearch import (
+    CoeffSearchParams,
     CriterionKind,
+    GAParams,
+    GraspParams,
+    HybridParams,
     ModelConfig,
     PartitionMode,
     SearchBudget,
     SearchMethod,
     SearchSpace,
+    TabuParams,
     exhaustive_search,
     ga_search,
     grasp_search,
@@ -209,6 +216,123 @@ COEFF_PINS = {
     ),
 }
 
+# non-default parameters: every operator setting the default pins leave alone
+CONFIG_PARAMS = {
+    "ga": GAParams(
+        elitism=0, tournament_size=3, crossover_rate=0.0, mutation_rate=0.4
+    ),
+    "tabu": TabuParams(tenure=0),
+    "grasp": GraspParams(alpha=1.0),
+    "hybrid": HybridParams(construction_share=0.5),
+}
+
+CONFIG_PARAM_PINS = {
+    'ga': Pin(
+        evaluations_used=51,
+        indices=[1, 2, 3, 21],
+        values=[
+            math.inf, -1.724272052719678, -2.802184422452875, -2.8026629950411825,
+        ],
+        best=(2, 1, (True, True, False, True)),
+        log_digest='b53d7661ec42c59d',
+    ),
+    'tabu': Pin(
+        evaluations_used=23,
+        indices=[1, 4, 16],
+        values=[
+            -2.7281785940924563, -2.7543735253791968, -2.8026629950411825,
+        ],
+        best=(2, 1, (True, True, False, True)),
+        log_digest='72f8be2c3b0fb23d',
+    ),
+    'grasp': Pin(
+        evaluations_used=60,
+        indices=[1, 2, 3, 6, 11, 20, 43],
+        values=[
+            -0.5861972113236408, -0.7560245867475993, -0.973533486474737,
+            -2.7203930519259605, -2.7290945616789175, -2.7543735253791968,
+            -2.8026629950411825,
+        ],
+        best=(2, 1, (True, True, False, True)),
+        log_digest='c1d389f31f7327cb',
+    ),
+    'hybrid': Pin(
+        evaluations_used=39,
+        indices=[1, 2, 3, 6, 10, 11, 17],
+        values=[
+            -0.5861972113236408, -0.7560245867475993, -0.973533486474737,
+            -2.7203930519259605, -2.728344555590775, -2.7625137434129106,
+            -2.8026629950411825,
+        ],
+        best=(2, 1, (True, True, False, True)),
+        log_digest='5700aad8de1d7297',
+    ),
+}
+
+COEFF_PARAMS = CoeffSearchParams(
+    include_ols_start=True, population_size=10, grasp_grid=3
+)
+
+# the least-squares start wins at once in GA and scatter; the tabu search
+# starts from zero whatever the population settings
+_OLS_START = Pin(
+    evaluations_used=400,
+    indices=[1, 2],
+    values=[2.810616687687617, -2.159100320197548],
+    best=[
+        -1.5307800355821548, -0.38408907777439216, 3.903193816146474,
+        1.4603187115291567, -0.8602275186909424, -0.08237013396032924,
+    ],
+)
+
+COEFF_PARAM_PINS = {
+    'ga': _OLS_START,
+    'tabu': COEFF_PINS['tabu'],
+    'grasp': Pin(
+        evaluations_used=400,
+        indices=[
+            1, 21, 24, 33, 36, 45, 53, 56, 62, 65, 68, 74, 81, 98, 110, 117, 128,
+            129, 134, 141, 158, 170, 177, 194, 206, 218, 225, 242, 254, 261, 278,
+            290, 302, 305, 308, 314, 321, 338, 350, 357, 365, 369, 383, 386, 398,
+        ],
+        values=[
+            2.810616687687617, 2.575519063015251, 2.306869897638933,
+            2.1120628343860943, 2.087657342952345, 2.07852787470686,
+            2.0512876164127523, 1.994611003319164, 1.9836180367999154,
+            1.9742625863136265, 1.9474729246104712, 1.9300184336950572,
+            1.897242585785503, 1.852679821711453, 1.8262738399275413,
+            1.8177389025129673, 1.816688310663687, 1.8142847759547274,
+            1.8026116170701894, 1.7509032833708282, 1.706160345688534,
+            1.6827989559060548, 1.656960080992613, 1.5994127573167471,
+            1.5648074900278188, 1.555664964943161, 1.4992900163536218,
+            1.4513668468017018, 1.4313238999107931, 1.4092595713227007,
+            1.3460369463041504, 1.3127193183614727, 1.3124365636547368,
+            1.2909597347024222, 1.2905435650740376, 1.281089420286501,
+            1.2271387420677036, 1.1672939321928173, 1.1446971927599752,
+            1.138760626153916, 1.1297048867309851, 1.1268214258210854,
+            1.0622917000292214, 1.0390423839805139, 0.9908634167681307,
+        ],
+        best=[
+            -0.69474820955016, 0.19849948844290288, 1.7864953959861265, 0.0,
+            -0.09924974422145144, 0.39699897688580577,
+        ],
+    ),
+    'scatter': _OLS_START,
+    'hybrid': Pin(
+        evaluations_used=400,
+        indices=[1, 21, 24, 33, 36, 45, 57, 68],
+        values=[
+            2.810616687687617, 2.575519063015251, 2.306869897638933,
+            2.1120628343860943, 2.087657342952345, 1.9851516636883157,
+            1.9452334712542656, 1.9073027593200274,
+        ],
+        best=[
+            -0.09924974422145144, 0.09924974422145144, 0.0,
+            0.09924974422145144, 0.0, 0.09924974422145144,
+        ],
+    ),
+}
+
 CONFIG_ENGINES = {
     "ga": ga_search,
     "tabu": tabu_search,
@@ -232,18 +356,15 @@ def _assert_trajectory(trajectory, pin):
         assert got == want or abs(got - want) <= VALUE_TOL
 
 
-@pytest.mark.parametrize("name", sorted(CONFIG_PINS))
-def test_configuration_engine_answers_are_pinned(name):
+def _config_problem():
     ds = noisy_dataset(seed=0, n=2, p=2, d=2, q=1, t=120, noise=0.5)
     space = SearchSpace(
         p_max=5, q_max=3, partition_mode=PartitionMode.SEARCH, switchable=(2, 3)
     )
-    if name == "exhaustive":
-        result = exhaustive_search(ds, space, CriterionKind.AIC)
-    else:
-        budget = SearchBudget(60, stagnation_limit=30, master_seed=1)
-        result = CONFIG_ENGINES[name](ds, space, CriterionKind.AIC, budget)
-    pin = CONFIG_PINS[name]
+    return ds, space, SearchBudget(60, stagnation_limit=30, master_seed=1)
+
+
+def _assert_config_pin(result, pin):
     assert result.evaluations_used == pin.evaluations_used
     _assert_trajectory(result.trajectory, pin)
     cfg = result.best_config
@@ -251,16 +372,47 @@ def test_configuration_engine_answers_are_pinned(name):
     assert _log_digest(result.candidate_log) == pin.log_digest
 
 
-@pytest.mark.parametrize("name", sorted(COEFF_PINS))
-def test_coefficient_engine_answers_are_pinned(name):
+@pytest.mark.parametrize("name", sorted(CONFIG_PINS))
+def test_configuration_engine_answers_are_pinned(name):
+    ds, space, budget = _config_problem()
+    if name == "exhaustive":
+        result = exhaustive_search(ds, space, CriterionKind.AIC)
+    else:
+        result = CONFIG_ENGINES[name](ds, space, CriterionKind.AIC, budget)
+    _assert_config_pin(result, CONFIG_PINS[name])
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_PARAM_PINS))
+def test_configuration_engine_answers_with_non_default_parameters(name):
+    ds, space, budget = _config_problem()
+    result = CONFIG_ENGINES[name](
+        ds, space, CriterionKind.AIC, budget, CONFIG_PARAMS[name]
+    )
+    _assert_config_pin(result, CONFIG_PARAM_PINS[name])
+
+
+def _coefficient_outcome(name, params=None):
     # a stagnation limit above the budget lets the tabu phases run to the end
     ds = noisy_dataset(seed=4, n=2, p=1, t=80, noise=0.5)
     cfg = ModelConfig(p=1, q=0, dependent_mask=(True, True))
     budget = SearchBudget(400, stagnation_limit=10**6, master_seed=1)
-    outcome = search_coefficients_full(
-        ds, cfg, CriterionKind.BIC, SearchMethod(name), budget
+    return search_coefficients_full(
+        ds, cfg, CriterionKind.BIC, SearchMethod(name), budget, params
     )
-    pin = COEFF_PINS[name]
+
+
+def _assert_coeff_pin(outcome, pin):
     assert outcome.evaluations_used == pin.evaluations_used
     _assert_trajectory(outcome.trajectory, pin)
     np.testing.assert_allclose(outcome.theta, pin.best, rtol=0, atol=VALUE_TOL)
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_PINS))
+def test_coefficient_engine_answers_are_pinned(name):
+    _assert_coeff_pin(_coefficient_outcome(name), COEFF_PINS[name])
+
+
+@pytest.mark.parametrize("name", sorted(COEFF_PARAM_PINS))
+def test_coefficient_engine_answers_with_non_default_parameters(name):
+    outcome = _coefficient_outcome(name, COEFF_PARAMS)
+    _assert_coeff_pin(outcome, COEFF_PARAM_PINS[name])

@@ -174,8 +174,14 @@ def _hostile_data(name):
     elif name == "scaled by 1e-8":
         obs = np.hstack([var, walk]) * 1e-8
     elif name == "columns scaled 1e12 apart":
-        # full rank, but QR's pivoted diagonal ratio falls below RANK_RTOL
+        # full rank; the pivoted R diagonal of the small column is about
+        # 1e-12 of the largest, but not of its own column's norm
         obs = np.hstack([var, walk * [1e6, 1e-6]])
+    elif name.startswith("intercept beside data scaled by"):
+        # the intercept column is about 1e-11 (1e-150) of the data columns
+        scale = float(name.rsplit(" ", 1)[1])
+        obs = np.random.default_rng(0).normal(size=(40, 2)) * scale
+        space = SearchSpace(p_max=2)
     elif name == "T' = K + 1":
         # the largest candidate, p = 2 with both columns and a constant, has
         # K = 5 design columns on T' = 6 rows
@@ -209,6 +215,8 @@ def _hostile_data(name):
         "scaled by 1e8",
         "scaled by 1e-8",
         "columns scaled 1e12 apart",
+        "intercept beside data scaled by 1e11",
+        "intercept beside data scaled by 1e150",
         "T' = K + 1",
         "HQC at T' <= e",
     ],
@@ -218,6 +226,31 @@ def test_hostile_inputs_give_qr_answer(name, search):
     ds, space, kind = _hostile_data(name)
     budget = None if search is exhaustive_search else SearchBudget(40, 20, 5)
     assert_same_as_qr(search, ds, space, kind, budget)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "columns scaled 1e12 apart",
+        "intercept beside data scaled by 1e11",
+        "intercept beside data scaled by 1e150",
+    ],
+)
+def test_badly_scaled_columns_are_full_rank_on_both_evaluator_paths(name):
+    # the rank test is relative to each column's norm, so a column that is
+    # small beside the others is no reason to call the design deficient
+    ds, space, kind = _hostile_data(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = exhaustive_search(ds, space, kind)
+        with mock.patch.object(engines, "CrossProductEvaluator", QROnlyEvaluator):
+            want = exhaustive_search(ds, space, kind)
+    assert math.isfinite(got.best_value)
+    assert got.best_value == want.best_value
+    assert got.best_config == want.best_config
+    assert got.skipped_invalid == want.skipped_invalid == 0
+    cfg = ModelConfig(p=1, q=0, dependent_mask=ds.base_mask)
+    assert math.isfinite(fit(ds, cfg).criterion(kind))
 
 
 def _config(space):
