@@ -47,6 +47,10 @@ from .ols import (
 from .search.engines import (
     _STREAM_INIT,
     _STREAM_OPS,
+    GAParams,
+    GraspParams,
+    ScatterParams,
+    TabuParams,
     _Run,
     _descend,
     _ga,
@@ -116,22 +120,22 @@ class CoeffSearchParams:
     include_ols_start: bool = False
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.ref_size < 4:
-            raise ValueError("ref_size must be >= 4")
-        if not 2 <= self.n_best < self.ref_size:
-            raise ValueError("need 2 <= n_best < ref_size")
-        if self.initial_pool_size < self.ref_size:
-            raise ValueError("initial_pool_size must be >= ref_size")
+        # the configuration engines' parameter classes hold the shared rules
+        GAParams(
+            population_size=self.population_size,
+            tournament_size=self.tournament_size,
+            crossover_rate=self.crossover_rate,
+            elitism=self.elitism,
+        )
+        TabuParams(tenure=self.tenure)
+        GraspParams(alpha=self.alpha)
+        ScatterParams(
+            ref_size=self.ref_size,
+            n_best=self.n_best,
+            initial_pool_size=self.initial_pool_size,
+        )
         if self.grasp_grid < 2:
             raise ValueError("grasp_grid must be >= 2")
-        if self.tenure < 0:
-            raise ValueError("tenure must be >= 0")
 
 
 @dataclass

@@ -5,12 +5,17 @@ point, one header row of names matching ``[A-Za-z0-9_]+``, every row the
 same width, every cell a finite number.  Anything else raises a specific
 ``CsvError`` subclass naming the offending row or cell.  Written files
 use ``repr`` for floats so a write/read round trip is exact.
+
+A plain file (digits, ``.eE+-``, commas and newlines after the header)
+is read by ``np.loadtxt``; every other file, and every error, goes
+through the line-by-line parser, which gives the same matrix.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import re
 
@@ -36,6 +41,11 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+# the bytes a plain data body may hold, and the size of a scanned chunk
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
+_CHUNK_BYTES = 1 << 20
+# rows formatted at a time when writing
+_BLOCK_ROWS = 4096
 
 
 def read_matrix_csv(path) -> tuple:
@@ -46,8 +56,65 @@ def read_matrix_csv(path) -> tuple:
     """
     if hasattr(path, "read"):
         return _parse(path)
+    plain = _read_plain(path)
+    if plain is not None:
+        return plain
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return _parse(fh)
+
+
+def _read_plain(path):
+    """(names, matrix) through ``np.loadtxt``, or None unless the file is plain.
+
+    A plain file has a valid header line, then only digits, ``.eE+-``,
+    commas and newlines, with at least one data row.  The file is scanned
+    in chunks, so memory stays at the size of the matrix, and numpy reads
+    the scanned handle.  The result is returned only when it has the
+    header's width and every value is finite; numpy then converts each
+    cell with the correctly rounded string-to-double that ``float`` uses,
+    so ``_parse`` would give the same matrix.  Every other file goes to
+    ``_parse``, the only source of errors and their line numbers.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not header.endswith(b"\n"):
+            return None
+        try:
+            names = _check_header(header[:-1].decode("ascii").split(","))
+        except (UnicodeDecodeError, CsvError):
+            return None
+        has_rows = False
+        for chunk in iter(lambda: fh.read(_CHUNK_BYTES), b""):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+            has_rows = has_rows or bool(chunk.strip(b"\n"))
+        if not has_rows:
+            return None
+        fh.seek(len(header))
+        with io.TextIOWrapper(fh, encoding="ascii") as text:
+            try:
+                matrix = np.loadtxt(
+                    text, delimiter=",", comments=None, ndmin=2, dtype=float
+                )
+            except ValueError:
+                return None
+    if matrix.shape[1] != len(names) or not np.isfinite(matrix).all():
+        return None
+    return names, matrix
+
+
+def _check_header(cells) -> tuple:
+    """The header's names, or the typed error for the first bad cell."""
+    if not cells:
+        raise EmptyCsvError("header row is empty")
+    names = []
+    for cell in cells:
+        if not _NAME_RE.match(cell):
+            raise InvalidHeaderError(cell)
+        if cell in names:
+            raise DuplicateNameError(cell)
+        names.append(cell)
+    return tuple(names)
 
 
 def _parse(fh) -> tuple:
@@ -56,15 +123,7 @@ def _parse(fh) -> tuple:
         header = next(reader)
     except StopIteration:
         raise EmptyCsvError("file has no header row") from None
-    if not header:
-        raise EmptyCsvError("header row is empty")
-    names = []
-    for cell in header:
-        if not _NAME_RE.match(cell):
-            raise InvalidHeaderError(cell)
-        if cell in names:
-            raise DuplicateNameError(cell)
-        names.append(cell)
+    names = _check_header(header)
     width = len(names)
     rows = []
     for line_no, row in enumerate(reader, start=2):
@@ -84,7 +143,7 @@ def _parse(fh) -> tuple:
         rows.append(parsed)
     if not rows:
         raise EmptyCsvError("file has a header but no data rows")
-    return tuple(names), np.array(rows, dtype=float)
+    return names, np.array(rows, dtype=float)
 
 
 def load_dataset(path, dependent=None, independent=None) -> TimeSeriesDataset:
@@ -147,19 +206,31 @@ def load_future_matrix(path, expected_names) -> np.ndarray:
 
 def format_csv(names, matrix) -> str:
     """CSV text with repr floats; exact under a read round trip."""
-    matrix = np.asarray(matrix, dtype=float)
-    for name in names:
-        if not _NAME_RE.match(str(name)):
-            raise InvalidHeaderError(str(name))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(names))
-    for row in matrix:
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
+    return "".join(_csv_blocks(names, matrix))
 
 
 def write_csv(path, names, matrix) -> None:
-    text = format_csv(names, matrix)
+    blocks = _csv_blocks(names, matrix)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(blocks)
+
+
+def _csv_blocks(names, matrix):
+    """Check the names, then return an iterator over the text in blocks.
+
+    The header comes first, then the rows ``_BLOCK_ROWS`` at a time, so
+    ``write_csv`` never holds more than one block of text.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
+    for name in names:
+        if not _NAME_RE.match(str(name)):
+            raise InvalidHeaderError(str(name))
+    # the csv module quotes a name that ends in "\n", which _NAME_RE lets by
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(list(names))
+    starts = range(0, len(matrix), _BLOCK_ROWS)
+    blocks = (matrix[i : i + _BLOCK_ROWS].tolist() for i in starts)
+    text = ("".join(",".join(map(repr, r)) + "\n" for r in rows) for rows in blocks)
+    return itertools.chain([header.getvalue()], text)

@@ -208,6 +208,25 @@ class TestCoefficientEngines:
         with pytest.raises(ValueError):
             CoeffSearchParams(tenure=-1)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"population_size": 10, "elitism": 10},
+            {"elitism": -1},
+            {"crossover_rate": -0.1},
+            {"crossover_rate": 1.5},
+        ],
+        ids=[
+            "elitism-fills-population",
+            "negative-elitism",
+            "crossover-below-0",
+            "crossover-above-1",
+        ],
+    )
+    def test_ga_settings_rejected_as_in_configuration_ga(self, bad):
+        with pytest.raises(ValueError):
+            CoeffSearchParams(**bad)
+
 
 class TestCompareWithOls:
     @pytest.mark.parametrize("method", COEFF_METHODS)

@@ -1,9 +1,15 @@
 """Strict CSV dialect: parsing, role assignment, exact round trips."""
 
 import io
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from varsearch import (
     CsvError,
@@ -20,6 +26,7 @@ from varsearch import (
     read_matrix_csv,
     write_csv,
 )
+from varsearch import csvio
 
 
 def parse(text):
@@ -152,3 +159,136 @@ class TestWriting:
     def test_format_rejects_bad_names(self):
         with pytest.raises(InvalidHeaderError):
             format_csv(("ok", "not ok"), np.zeros((1, 2)))
+
+    def test_write_rejects_non_matrix_before_opening(self, tmp_path):
+        target = tmp_path / "never.csv"
+        for bad in (np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="2-D"):
+                write_csv(target, ("a", "b"), bad)
+        assert not target.exists()
+
+
+# cells: plain numbers, numbers float() takes in other spellings, and
+# cells that one reader or both must reject
+PLAIN_CELLS = ["1", "-0", "+1", ".5", "5.", "2.5e-3", "1E5", "4e-324"]
+OTHER_CELLS = ["1_000", "nan", "inf", "-inf", "1e400", "#", "", "e", "1e", "-", "abc"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Texts near the dialect: most are plain, many break it in one place."""
+
+    def rarely(odds):
+        return draw(st.integers(1, odds)) == odds
+
+    width = draw(st.integers(1, 3))
+    names = [f"c{i}" for i in range(width)]
+    if rarely(8):
+        names[-1] = draw(st.sampled_from(["c0", "a b", "", '"q"', "x-y"]))
+    number = st.one_of(
+        st.sampled_from(PLAIN_CELLS),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-(10**20), 10**20).map(str),
+    )
+    quote, pad, other = rarely(4), rarely(4), rarely(3)
+
+    def cell():
+        text = draw(number)
+        if other and rarely(6):
+            text = draw(st.sampled_from(OTHER_CELLS))
+        if quote and rarely(2):
+            text = f'"{text}"'
+        return f" {text} " if pad and rarely(2) else text
+
+    lines = [",".join(names)]
+    for _ in range(0 if rarely(10) else draw(st.integers(1, 6))):
+        if rarely(8):
+            lines.append("")
+            continue
+        n_cells = width + (draw(st.sampled_from([-1, 1])) if rarely(30) else 0)
+        row = ",".join(cell() for _ in range(max(n_cells, 0)))
+        lines.append(row + ("," if rarely(30) else ""))
+    newline = "\r\n" if rarely(5) else "\n"
+    text = newline.join(lines) + ("" if rarely(4) else newline)
+    return ("\ufeff" if rarely(10) else "") + text
+
+
+def _outcome(read, *args):
+    try:
+        names, matrix = read(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return "raised", type(exc), str(exc)
+    return "read", names, matrix.shape, matrix.dtype, matrix.tobytes()
+
+
+def _parse_file(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return csvio._parse(fh)
+
+
+class TestReadPaths:
+    """A file read by path gives what the line-by-line parser gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    def test_both_paths_agree(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert _outcome(read_matrix_csv, path) == _outcome(_parse_file, path)
+
+    def test_plain_file_skips_line_parser(self, tmp_path):
+        target = tmp_path / "plain.csv"
+        matrix = np.array([[1.5, -0.0], [5e-324, 1e300], [3.0, -2.25]])
+        write_csv(target, ("a", "b"), matrix)
+        with mock.patch.object(csvio, "_parse", side_effect=AssertionError):
+            names, back = read_matrix_csv(target)
+        assert names == ("a", "b")
+        assert back.tobytes() == matrix.tobytes()
+
+    def test_quoted_cells_go_through_line_parser(self, tmp_path):
+        target = tmp_path / "quoted.csv"
+        target.write_text('a,b\n"1",2\n3,"4.5"\n', encoding="utf-8")
+        with mock.patch.object(csvio, "_parse", wraps=csvio._parse) as parse_:
+            names, back = read_matrix_csv(target)
+        assert parse_.call_count == 1
+        assert names == ("a", "b")
+        np.testing.assert_array_equal(back, [[1.0, 2.0], [3.0, 4.5]])
+
+
+# finite doubles, with the edges of the range written out
+EDGE_VALUES = [
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    1e-300,
+    -1e-300,
+    1e300,
+    -1e300,
+    1.7976931348623157e308,
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.integers(1, 4)),
+        elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from(EDGE_VALUES),
+        ),
+    )
+)
+def test_write_read_round_trip_is_bit_exact(matrix):
+    names = tuple(f"v{i}" for i in range(matrix.shape[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "round.csv")
+        write_csv(path, names, matrix)
+        plain = csvio._read_plain(path)
+        back_names, back = read_matrix_csv(path)
+    assert plain is not None, "written files take the numpy path"
+    assert back_names == names
+    assert back.tobytes() == plain[1].tobytes() == matrix.tobytes()
