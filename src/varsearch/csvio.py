@@ -40,7 +40,7 @@ __all__ = [
     "write_csv",
 ]
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 # the bytes a plain data body may hold, and the size of a scanned chunk
 _PLAIN_BYTES = b"0123456789.eE+-,\n"
 _CHUNK_BYTES = 1 << 20
@@ -109,7 +109,7 @@ def _check_header(cells) -> tuple:
         raise EmptyCsvError("header row is empty")
     names = []
     for cell in cells:
-        if not _NAME_RE.match(cell):
+        if not _NAME_RE.fullmatch(cell):
             raise InvalidHeaderError(cell)
         if cell in names:
             raise DuplicateNameError(cell)
@@ -225,12 +225,9 @@ def _csv_blocks(names, matrix):
     if matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
     for name in names:
-        if not _NAME_RE.match(str(name)):
+        if not _NAME_RE.fullmatch(str(name)):
             raise InvalidHeaderError(str(name))
-    # the csv module quotes a name that ends in "\n", which _NAME_RE lets by
-    header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow(list(names))
     starts = range(0, len(matrix), _BLOCK_ROWS)
     blocks = (matrix[i : i + _BLOCK_ROWS].tolist() for i in starts)
     text = ("".join(",".join(map(repr, r)) + "\n" for r in rows) for rows in blocks)
-    return itertools.chain([header.getvalue()], text)
+    return itertools.chain([",".join(map(str, names)) + "\n"], text)

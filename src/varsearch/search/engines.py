@@ -200,18 +200,16 @@ class _Run:
         return key
 
 
-def _tabu_step(moves, tabu_until, iteration, tenure, best_key):
+def _tabu_step(moves, tabu_until, iteration, tenure):
     """Take one tabu move and return its candidate.
 
     ``moves`` are ``(key, attr, abandoned_attr, candidate)``, scored.  A
-    move is tabu while ``tabu_until[attr] >= iteration``, unless its key
-    beats ``best_key`` (aspiration); when every move is tabu the best one
-    is taken anyway.  Ties go to the earliest move.  The attribute the
-    move abandons becomes tabu for ``tenure`` iterations.
+    move is tabu while ``tabu_until[attr] >= iteration``; the best move
+    that is not tabu is taken, and when every move is tabu the best one is
+    taken anyway.  Ties go to the earliest move.  The attribute the move
+    abandons becomes tabu for ``tenure`` iterations.
     """
-    allowed = [
-        m for m in moves if tabu_until.get(m[1], 0) < iteration or m[0] < best_key
-    ]
+    allowed = [m for m in moves if tabu_until.get(m[1], 0) < iteration]
     _, _, abandoned, candidate = min(allowed or moves, key=lambda m: m[0])
     tabu_until[abandoned] = iteration + tenure
     return candidate
@@ -222,7 +220,7 @@ def _tabu_move(run: _Run, current, tabu_until, iteration, tenure):
     moves = run.moves(current)
     keys = run.score([c for _, _, c in moves])
     scored = [(key, attr, old, c) for key, (attr, old, c) in zip(keys, moves)]
-    return _tabu_step(scored, tabu_until, iteration, tenure, run.best_key)
+    return _tabu_step(scored, tabu_until, iteration, tenure)
 
 
 def _descend(run: _Run, current, key):
@@ -564,12 +562,12 @@ def tabu_search(
     budget: SearchBudget,
     params: TabuParams | None = None,
 ) -> SearchResult:
-    """Best-neighbor tabu search with recency tabus and aspiration.
+    """Best-neighbor tabu search with recency tabus.
 
     After a move the attribute value just abandoned becomes tabu for
-    ``tenure`` iterations; a tabu neighbor is still accepted when it beats
-    the global best (aspiration).  If every neighbor is tabu the best one
-    is taken anyway.
+    ``tenure`` iterations, and the search moves to the best neighbor that
+    is not tabu.  If every neighbor is tabu the best one is taken anyway.
+    The global best is kept whichever moves are taken.
     """
     run = _SearchRun(ds, space, kind, budget)
     return run.drive(_tabu, params or TabuParams()).finalize("tabu")

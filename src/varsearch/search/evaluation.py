@@ -1,11 +1,11 @@
-"""Candidate evaluation: the QR oracle, the cross-product screen, seeding.
+"""Candidate evaluation: the QR oracle, the QR-factor screen, seeding.
 
 ``evaluate_config`` scores one configuration by pivoted QR and never
 raises for a bad candidate, so the invalid-candidate convention (value
 +inf) is the same everywhere.  ``CrossProductEvaluator`` scores the
-candidates of one search from one cross-product matrix built once per
-search, and calls ``evaluate_config`` wherever its own value could decide
-something differently from QR.  ``derive_candidate_seed`` gives each
+candidates of one search from one triangular factor of all their columns,
+built once per search, and calls ``evaluate_config`` wherever its own
+value could decide something differently from QR.  ``derive_candidate_seed`` gives each
 logical random stream a seed that depends only on (master seed, stream
 id), never on call order.
 """
@@ -37,15 +37,13 @@ _UNIT = np.finfo(float).eps / 2
 VALUE_TOLERANCE = 1e-9
 
 # Multiple of the modelled rounding error taken as the bound.  On seeded
-# VAR data, random walks and data scaled or offset by large factors, the
-# largest ratio of the observed |screened - QR| to the unmultiplied model
-# was 0.29.
+# VAR data, random walks, the hostile fixtures of the property tests and
+# data scaled by 1e8 or 1e-8 or offset by 1e4, the observed
+# |screened - QR| never exceeded an eighth of the whole bound.
 _SAFETY = 8.0
 
-# First-order error analysis is trusted only while the perturbation of the
-# scaled design cross products stays this small relative to their smallest
-# eigenvalue.
-_FIRST_ORDER_LIMIT = 1e-2
+# Rows of Z per block of the streamed QR factor.
+_CHUNK = 1024
 
 
 def derive_candidate_seed(master_seed: int, stream_id: int) -> int:
@@ -121,32 +119,36 @@ class _Intervals:
 
 
 class CrossProductEvaluator:
-    """Scores the configurations of one search space from one cross product.
+    """Scores the configurations of one search space from one QR factor.
 
     Every candidate of a search is fitted on the same rows, from
-    ``space.common_row_start`` on, so its X'X, X'Y and Y'Y are sub-blocks
-    of G = Z'Z with Z = [obs(t) | obs(t-1) ... obs(t-L) | 1] and
-    L = max(p_max, q_max).  G is built once; a candidate then costs one
-    Cholesky factorization of its (K+n) x (K+n) block [X Y]'[X Y], and
-    ln det(E'E) = 2 sum ln diag(R_yy), whatever the sample size.
+    ``space.common_row_start`` on, so its design X and targets Y are
+    columns of Z = [obs(t) | obs(t-1) ... obs(t-L) | 1] with
+    L = max(p_max, q_max).  The triangular factor R of Z is built once; as
+    Z = QR, the columns of R for [X Y] have the same triangular factor as
+    [X Y] itself.  A candidate then costs one Householder QR of its
+    (K+n)-column slice of R, which gives R_xx, R_xy and R_yy with
+    E'E = R_yy'R_yy, so ln det(E'E) = 2 sum ln |diag(R_yy)| whatever the
+    sample size.
 
-    The normal equations square the conditioning of X, so each screened
-    value carries a first-order bound on its distance from the QR value
-    of ``evaluate_config``.  QR scores the candidate instead when the
-    Cholesky fails; when the condition of X cannot rule out the QR rank
-    flag (``RANK_RTOL``) or the residual cannot rule out the perfect-fit
-    snap (``DEGENERATE_RTOL``); when the bound exceeds
-    ``VALUE_TOLERANCE``; when the candidate could be a new best; and when
-    its interval meets the value of another cached candidate, which is
-    then refitted by QR too if its own value was screened.  Every
-    comparison a search makes therefore comes out as it would on QR
-    values, and every best value and its fit come from QR.
+    Householder QR is backward stable column by column, so each screened
+    value carries a bound on its distance from the QR value of
+    ``evaluate_config``.  QR scores the candidate instead when the factor
+    cannot tell: when the condition of X cannot rule out the QR rank flag
+    (``RANK_RTOL``) or the residual cannot rule out the perfect-fit snap
+    (``DEGENERATE_RTOL``); when the bound exceeds ``VALUE_TOLERANCE``; when
+    the candidate could be a new best; and when its interval meets the
+    value of another cached candidate, which is then refitted by QR too if
+    its own value was screened.  Every comparison a search makes therefore
+    comes out as it would on QR values, and every best value and its fit
+    come from QR.
 
     ``values`` maps a candidate's genome order key to ``(value, n_params)``;
     ``n_params`` is inf for a candidate without a fit.
 
     Raises ``NumericOverflowError`` when the sum of squares of the
-    observations overflows float64, as G cannot be formed then.
+    observations overflows float64, as the column norms of Z that the
+    screen's tests rest on can overflow then.
     """
 
     def __init__(self, ds: TimeSeriesDataset, space, kind: CriterionKind):
@@ -161,40 +163,34 @@ class CrossProductEvaluator:
         self.values = {}
         self.qr_fits = 0
         self._intervals = _Intervals()
-        self._gram = None
+        self._factor = None
         if self.effective_t >= 1:
             self._build(ds.observations, min(self.row_start, self.effective_t - 1))
 
     def _build(self, obs: np.ndarray, max_lag: int) -> None:
-        """G on data shifted by its column means, rows summed in chunks.
+        """R of Z, streamed over blocks of ``_CHUNK`` rows.
 
-        Chunks of about sqrt(T') rows bound every entry's rounding error by
-        (chunk + chunks) * u * sum|z_i z_j| whatever order the BLAS sums
-        in, about 2 sqrt(T') roundings instead of T'.  Only one chunk of Z
-        exists at a time.
+        Each block of Z is stacked under the R so far and factored again by
+        Householder QR, as in TSQR (Demmel, Grigori, Hoemmen & Langou, SIAM
+        J. Sci. Comput. 34, 2012).  Only one block of Z exists at a time,
+        and the column norms of Z are those of R.
         """
         t_total, m = obs.shape
-        self._shift = obs.mean(axis=0)
-        shifted = obs - self._shift
         width = m * (max_lag + 1) + 1
-        chunk = max(1, math.isqrt(self.effective_t))
-        gram = np.zeros((width, width))
-        block = np.empty((chunk, width))
+        factor = np.empty((0, width))
+        block = np.empty((_CHUNK, width))
         block[:, -1] = 1.0
+        for r0 in range(self.row_start, t_total, _CHUNK):
+            rows = min(_CHUNK, t_total - r0)
+            part = block[:rows]
+            for lag in range(max_lag + 1):
+                part[:, lag * m : (lag + 1) * m] = obs[r0 - lag : r0 - lag + rows]
+            qr = lapack.dgeqrf(np.vstack([factor, part]))[0]
+            factor = np.triu(qr[:width])
+        self._factor = factor
         # entries that overflow make their candidates fall back to QR
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r0 in range(self.row_start, t_total, chunk):
-                rows = min(chunk, t_total - r0)
-                part = block[:rows]
-                for lag in range(max_lag + 1):
-                    part[:, lag * m : (lag + 1) * m] = shifted[r0 - lag : r0 - lag + rows]
-                gram += part.T @ part
-        n_chunks = -(-self.effective_t // chunk)
-        self._gram = gram
-        # roundings per entry: the two sums, plus slack for the shift
-        self._gram_terms = chunk + n_chunks + 4
-        rows = obs[self.row_start :]
-        self._y_norm2 = np.einsum("ij,ij->j", rows, rows)
+        with np.errstate(over="ignore"):
+            self._norms = np.linalg.norm(factor, axis=0)
 
     def evaluate(self, cfg: ModelConfig, order, best_value):
         """Score one fresh candidate; ``best_value`` is None before any.
@@ -234,119 +230,68 @@ class CrossProductEvaluator:
         return value, fit_result
 
     def _columns(self, cfg: ModelConfig):
+        """Columns of Z for X, in ``design.py`` order, and for Y."""
         m = self.ds.n_vars
         dep = cfg.dependent_indices
         indep = cfg.independent_indices if cfg.q > 0 else ()
         x = [lag * m + a for lag in range(1, cfg.p + 1) for a in dep]
         x += [lag * m + a for lag in range(1, cfg.q + 1) for a in indep]
+        if cfg.include_constant:
+            x.append(self._factor.shape[1] - 1)
         return x, list(dep)
 
     def _screen(self, cfg: ModelConfig, k: int):
-        """``(value, bound)`` from the cross products, or None if they cannot tell."""
+        """``(value, bound)`` from the factor, or None if it cannot tell.
+
+        The computed factor of [X Y] is the exact factor of [X Y] plus a
+        columnwise perturbation of relative size about u sqrt(T' + W), W
+        the width of Z.  To first order that moves ln det(E'E) by at most
+        2 u sqrt(T' + W) S, S = sum_i ||row i of R_yy^-1|| (||y_i|| +
+        sum_j ||x_j|| |B_ji|) with B = R_xx^-1 R_xy the coefficients.  The
+        rounding of E'E in the QR value is added, the sum is multiplied by
+        ``_SAFETY``, and the rounding of the criterion itself is added last.
+        """
         if self.kind is CriterionKind.HQC and self.effective_t <= math.e:
             return None
         x, y = self._columns(cfg)
+        idx = x + y
         n = len(y)
-        gram = self._gram
-        const = gram.shape[0] - 1
-        m = self.ds.n_vars
-        root_t = math.sqrt(self.effective_t)
-        mean_x = self._shift[[i % m for i in x]]
-        if cfg.include_constant:
-            # a shift of the data leaves the residuals of a model with a
-            # constant unchanged; the constant goes first so the raw and
-            # shifted factors of X differ in row 0 only
-            idx = [const] + x + y
-            block = gram[np.ix_(idx, idx)]
-            spread = None
-        else:
-            # undo the shift: raw column = shifted column + mean * 1
-            idx = x + y
-            mean = self._shift[[i % m for i in idx]]
-            base = gram[np.ix_(idx, idx)]
-            cross = np.outer(gram[idx, const], mean)
-            block = base + cross + cross.T + self.effective_t * np.outer(mean, mean)
-            spread = np.sqrt(np.diag(base)) + root_t * np.abs(mean)
-        if not np.all(np.isfinite(block)):
+        norms = self._norms[idx]
+        if not np.all(norms > 0.0):
             return None
-        scale = np.sqrt(np.diag(block))
-        if not np.all(scale > 0.0):
+        # R is upper triangular, so rows past the last selected column are zero
+        block = self._factor[: max(idx) + 1, idx]
+        if block.shape[0] < k + n or not np.all(np.isfinite(block)):
             return None
-        r, info = lapack.dpotrf(block)
-        if info != 0:
-            return None
+        r = np.triu(lapack.dgeqrf(block)[0][: k + n])
+        r_xx, r_xy, r_yy = r[:k, :k], r[:k, k:], r[k:, k:]
         # QR flags rank when a pivoted diagonal falls below RANK_RTOL times
         # its column's norm, and every such ratio is at least
         # 1 / cond_2(X D^-1) >= 1 / (K cond_1(R D^-1)), D the column norms
-        r_raw = r[:k, :k]
-        if cfg.include_constant:
-            r_raw = r_raw.copy()
-            r_raw[0, 1:] += r[0, 0] * mean_x
-        rcond, _ = lapack.dtrcon(r_raw / np.linalg.norm(r_raw, axis=0))
+        rcond, _ = lapack.dtrcon(r_xx / np.linalg.norm(r_xx, axis=0))
         if not rcond > 10.0 * k * RANK_RTOL:
             return None
-        r_yy = r[k:, k:]
-        y_norm = np.sqrt(self._y_norm2[y])
+        x_norm, y_norm = norms[:k], norms[k:]
         if np.sum(r_yy * r_yy) <= (2.0 * DEGENERATE_RTOL) ** 2 * np.sum(y_norm**2):
             return None
-        # magnitudes of the raw columns of X, for the QR residual's rounding
-        x_norm = scale[:k].copy()
-        intercept = None
-        if cfg.include_constant:
-            x_norm[1:] += root_t * np.abs(mean_x)
-            intercept = (mean_x, self._shift[y])
-        bound = self._bound(r, scale, k, spread, x_norm, y_norm, intercept)
-        if bound is None or bound > VALUE_TOLERANCE:
+        coef, _ = lapack.dtrtrs(r_xx, r_xy)
+        r_yy_inv, info = lapack.dtrtri(r_yy)
+        if info != 0:
+            return None
+        width = self._factor.shape[1]  # W
+        with np.errstate(over="ignore", invalid="ignore"):
+            sensitivity = float(
+                np.linalg.norm(r_yy_inv, axis=1) @ (y_norm + x_norm @ np.abs(coef))
+            )
+            v = np.linalg.norm(r_yy, axis=0)[:, None] * r_yy_inv
+            bound = _SAFETY * _UNIT * (
+                2.0 * math.sqrt(self.effective_t + width) * sensitivity
+                + math.sqrt(self.effective_t) * float(np.linalg.norm(v @ v.T))
+            )
+        if not bound <= VALUE_TOLERANCE:
             return None
         log_det = 2.0 * float(np.sum(np.log(np.abs(np.diag(r_yy))))) - n * math.log(
             self.effective_t
         )
         value = criterion_from_log_det(self.kind, log_det, n * k, self.effective_t)
         return value, bound + 8.0 * _UNIT * (abs(value) + abs(log_det) + n)
-
-    def _bound(self, r, scale, k, spread, x_norm, y_norm, intercept):
-        """Bound on |screened value - QR value| from first-order analysis, or None.
-
-        With column scaling, R~ = R / scale has unit-norm columns.  A
-        perturbation D of the scaled cross products moves ln det of the
-        residual block by sum_ij D_ij (U U')_ij to first order, where
-        U = [-W; I] R~_yy^-1 and W = R~_xx^-1 R~_xy are the scaled
-        coefficients.  The rounding errors of the chunked sums and of the
-        Cholesky factorization are modelled as independent with size
-        u * s_i s_j per term (Higham & Mary, SIAM J. Sci. Comput. 41, 2019),
-        which gives u * sqrt(terms) * ||S U U' S||_F; s_i is 1 unless the
-        block was unshifted (``spread``).  The QR value's own rounding, in
-        E'E and in forming E = Y - X B term by term, is added, and the sum is
-        multiplied by ``_SAFETY``.
-        """
-        n = r.shape[0] - k
-        rt = r / scale
-        r_xx, r_xy, r_yy = rt[:k, :k], rt[:k, k:], rt[k:, k:]
-        rcond, _ = lapack.dtrcon(r_xx)
-        spread = np.ones(k + n) if spread is None else spread / scale
-        terms = self._gram_terms + k + n
-        # validity of the first order: the entrywise worst case of the
-        # perturbation against ||Axx^-1||_2 <= k ||R~_xx^-1||_1^2
-        worst = terms * _UNIT * float(spread.max()) ** 2 * (k + n)
-        r_norm = np.abs(r_xx).sum(axis=0).max()
-        if not worst * k <= _FIRST_ORDER_LIMIT * (rcond * r_norm) ** 2:
-            return None
-        w, _ = lapack.dtrtrs(r_xx, r_xy)
-        r_yy_inv, _ = lapack.dtrtri(r_yy)
-        u = np.vstack([w @ r_yy_inv, r_yy_inv]) * spread[:, None]
-        gram_term = math.sqrt(terms) * _UNIT * np.linalg.norm(u.T @ u)
-        resid_norms = np.linalg.norm(r_yy, axis=0)
-        cov_term = (
-            math.sqrt(self.effective_t) * _UNIT
-            * np.linalg.norm((r_yy_inv @ r_yy_inv.T) * np.outer(resid_norms, resid_norms))
-        )
-        theta = w * (scale[k:] / scale[:k, None])
-        if intercept is not None:
-            mean_x, mean_y = intercept
-            theta[0] += mean_y - mean_x @ theta[1:]
-        inv_rows = np.linalg.norm(r_yy_inv, axis=1)
-        resid_term = 2.0 * (k + 2) * _UNIT * float(
-            (inv_rows / scale[k:]) @ (y_norm + x_norm @ np.abs(theta))
-        )
-        total = _SAFETY * float(gram_term + cov_term + resid_term)
-        return total if math.isfinite(total) else None

@@ -160,6 +160,13 @@ class TestWriting:
         with pytest.raises(InvalidHeaderError):
             format_csv(("ok", "not ok"), np.zeros((1, 2)))
 
+    def test_name_ending_in_a_newline_is_invalid(self):
+        # the whole name must match, so no valid name ever needs quoting
+        with pytest.raises(InvalidHeaderError):
+            read_matrix_csv(io.StringIO('"a\n",b\n1,2\n'))
+        with pytest.raises(InvalidHeaderError):
+            format_csv(("a\n",), np.zeros((1, 1)))
+
     def test_write_rejects_non_matrix_before_opening(self, tmp_path):
         target = tmp_path / "never.csv"
         for bad in (np.zeros(3), np.zeros((2, 2, 2))):

@@ -8,6 +8,7 @@ import pytest
 from varsearch import (
     CriterionKind,
     GAParams,
+    GeneratorSpec,
     GraspParams,
     HybridParams,
     ModelConfig,
@@ -24,8 +25,10 @@ from varsearch import (
     exhaustive_search,
     fit,
     ga_search,
+    generate,
     grasp_search,
     hybrid_search,
+    random_stable_coefficients,
     scatter_search,
     tabu_search,
 )
@@ -34,6 +37,7 @@ from varsearch.search import engines, evaluation
 from varsearch.search.evaluation import CrossProductEvaluator
 
 from .conftest import make_dataset, noisy_dataset
+from .test_properties import assert_same_as_qr
 
 METAHEURISTICS = [ga_search, tabu_search, grasp_search, scatter_search, hybrid_search]
 
@@ -43,6 +47,26 @@ def small_space_problem(seed=0):
     ds = noisy_dataset(seed=seed, n=2, p=2, d=2, q=1, t=120, noise=0.5)
     space = SearchSpace(
         p_max=5, q_max=3, partition_mode=PartitionMode.SEARCH, switchable=(2, 3)
+    )
+    return ds, space
+
+
+def random_walk_problem():
+    """5000 rows of a stable VAR(2) in four variables beside two random walks.
+
+    The 104-config space has p in 1..8, q in 0..3 and both walks switchable.
+    """
+    coef_seed, noise_seed, _ = (
+        int(s) for s in np.random.SeedSequence([10, 1]).generate_state(3, np.uint64)
+    )
+    coefficients = random_stable_coefficients(n=4, p=2, d=2, q=1, radius=0.9, seed=coef_seed)
+    ds = generate(
+        GeneratorSpec(
+            coefficients=coefficients, t=5000, seed=noise_seed, exogenous="random_walk"
+        )
+    )
+    space = SearchSpace(
+        p_max=8, q_max=3, partition_mode=PartitionMode.SEARCH, switchable=(4, 5)
     )
     return ds, space
 
@@ -304,26 +328,22 @@ class TestTabuStep:
     def test_best_allowed_move_and_its_abandoned_attribute_becomes_tabu(self):
         tabu_until = {"a": 3}
         moves = [(1.0, "a", "x", "A"), (2.0, "b", "y", "B"), (3.0, "c", "z", "C")]
-        chosen = engines._tabu_step(moves, tabu_until, 2, 5, best_key=0.5)
+        chosen = engines._tabu_step(moves, tabu_until, 2, 5)
         assert chosen == "B"
         assert tabu_until == {"a": 3, "y": 7}
 
     def test_tabu_expires_after_its_iteration(self):
         moves = [(1.0, "a", "x", "A"), (2.0, "b", "y", "B")]
-        assert engines._tabu_step(moves, {"a": 3}, 4, 5, best_key=0.5) == "A"
+        assert engines._tabu_step(moves, {"a": 3}, 4, 5) == "A"
 
     def test_ties_go_to_the_earliest_move(self):
         moves = [(2.0, "a", "x", "A"), (1.0, "b", "y", "B"), (1.0, "c", "z", "C")]
-        assert engines._tabu_step(moves, {}, 1, 5, best_key=0.5) == "B"
-
-    def test_aspiration_admits_a_tabu_move_beating_the_best(self):
-        moves = [(1.0, "a", "x", "A"), (2.0, "b", "y", "B")]
-        assert engines._tabu_step(moves, {"a": 9}, 1, 5, best_key=1.5) == "A"
+        assert engines._tabu_step(moves, {}, 1, 5) == "B"
 
     def test_all_tabu_takes_the_best_move(self):
         moves = [(2.0, "a", "x", "A"), (1.0, "b", "y", "B")]
         tabu_until = {"a": 9, "b": 9}
-        assert engines._tabu_step(moves, tabu_until, 1, 5, best_key=0.5) == "B"
+        assert engines._tabu_step(moves, tabu_until, 1, 5) == "B"
         assert tabu_until["y"] == 6
 
 
@@ -413,19 +433,50 @@ class TestCandidateScoring:
                 assert abs(got[0] - want) <= min(got[1], 1e-9)
         assert screened > 0
 
-    def test_qr_value_inside_a_screened_interval_refits_it(self):
+    def test_qr_value_inside_a_screened_interval_refits_it(self, monkeypatch):
         # the same configuration under two order keys: the second one's
         # interval meets the first, so QR scores it, and its QR value lies
         # inside the first one's interval, so the first is refitted too
         ds, space = small_space_problem()
         cfg = enumerate_space(space, ds)[7]
         evaluator = CrossProductEvaluator(ds, space, CriterionKind.AIC)
-        screened, _, fit_result = evaluator.evaluate(cfg, "first", -1e9)
+        certified = []
+        original = CrossProductEvaluator._certify
+
+        def spying(self, cfg, order):
+            certified.append(order)
+            return original(self, cfg, order)
+
+        monkeypatch.setattr(CrossProductEvaluator, "_certify", spying)
+        _, _, fit_result = evaluator.evaluate(cfg, "first", -1e9)
         assert fit_result is None
         value, _, fit_result = evaluator.evaluate(cfg, "second", -1e9)
         assert fit_result is not None
-        assert evaluator.values["first"][0] == value != screened
+        assert certified == ["second", "first"]
+        assert evaluator.values["first"][0] == value
         assert evaluator.qr_fits == 2
+
+    def test_random_walk_candidates_are_screened_not_refitted(self, monkeypatch):
+        # the screen's bound must stay below VALUE_TOLERANCE on random walks
+        # that reach several hundred, so QR certifies few of the 104
+        ds, space = random_walk_problem()
+        certified = []
+        original = CrossProductEvaluator._certify
+
+        def spying(self, cfg, order):
+            certified.append(order)
+            return original(self, cfg, order)
+
+        monkeypatch.setattr(CrossProductEvaluator, "_certify", spying)
+        assert_same_as_qr(exhaustive_search, ds, space, CriterionKind.BIC)
+        assert len(enumerate_space(space, ds)) == 104
+        assert len(certified) <= 15
+
+    @pytest.mark.parametrize("engine", METAHEURISTICS)
+    def test_random_walk_searches_match_qr_only_searches(self, engine):
+        ds, space = random_walk_problem()
+        budget = SearchBudget(60, 30, 7)
+        assert_same_as_qr(engine, ds, space, CriterionKind.BIC, budget)
 
     def test_best_value_and_fit_come_from_qr(self):
         ds, space = small_space_problem()
