@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from ._version import __version__
 from .coeffsearch import compare_with_ols, search_coefficients_full
@@ -19,12 +20,7 @@ from .csvio import format_csv, load_dataset, load_future_matrix, write_csv
 from .errors import MissingColumnError, VarsearchError
 from .model import ModelConfig
 from .ols import fit
-from .reports import (
-    ForecastReport,
-    RunConfig,
-    SimulationReport,
-    write_report,
-)
+from .reports import ForecastReport, RunConfig, SimulationReport, write_report
 from .search import (
     PartitionMode,
     SearchBudget,
@@ -49,6 +45,7 @@ from .simulate import (
 __all__ = ["cli_main", "main"]
 
 _ENGINES = {
+    SearchMethod.EXHAUSTIVE: exhaustive_search,
     SearchMethod.GA: ga_search,
     SearchMethod.TABU: tabu_search,
     SearchMethod.GRASP: grasp_search,
@@ -104,13 +101,8 @@ def _add_report_flags(sub):
 def _add_budget_flags(sub, budget_required):
     budget_help = "maximum number of fitness evaluations"
     if not budget_required:
-        budget_help += " (metaheuristics default: 1000)"
-    sub.add_argument(
-        "--budget",
-        type=int,
-        required=budget_required,
-        help=budget_help,
-    )
+        budget_help += f" (metaheuristics default: {_DEFAULT_BUDGET})"
+    sub.add_argument("--budget", type=int, required=budget_required, help=budget_help)
     sub.add_argument(
         "--stagnation",
         type=int,
@@ -154,25 +146,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_flags(p_sel)
     p_sel.set_defaults(handler=_cmd_select)
 
-    p_sc = subs.add_parser(
-        "search-coeffs", help="search coefficient space directly"
-    )
-    _add_io_flags(p_sc)
-    _add_model_flags(p_sc)
-    p_sc.add_argument("--method", default="ga")
-    _add_budget_flags(p_sc, budget_required=True)
-    _add_report_flags(p_sc)
-    p_sc.set_defaults(handler=_cmd_search_coeffs)
-
-    p_cmp = subs.add_parser(
-        "compare", help="coefficient search versus least squares"
-    )
-    _add_io_flags(p_cmp)
-    _add_model_flags(p_cmp)
-    p_cmp.add_argument("--method", default="ga")
-    _add_budget_flags(p_cmp, budget_required=True)
-    _add_report_flags(p_cmp)
-    p_cmp.set_defaults(handler=_cmd_compare)
+    for name, help_text in (
+        ("search-coeffs", "search coefficient space directly"),
+        ("compare", "coefficient search versus least squares"),
+    ):
+        p_coef = subs.add_parser(name, help=help_text)
+        _add_io_flags(p_coef)
+        _add_model_flags(p_coef)
+        p_coef.add_argument("--method", default="ga")
+        _add_budget_flags(p_coef, budget_required=True)
+        _add_report_flags(p_coef)
+        p_coef.set_defaults(handler=_cmd_coefficients)
 
     p_sim = subs.add_parser("simulate", help="generate a synthetic dataset")
     p_sim.add_argument("--n-vars", type=int, required=True, help="dependent columns")
@@ -212,30 +196,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _settings(args, *flag_names, **resolved) -> dict:
+    """The settings a report records: the named flags as given, ``constant``,
+    the sorted role lists where the command has role flags, and the values
+    the command resolved (a canonical name, a default it filled in)."""
+    settings = {name: getattr(args, name) for name in flag_names}
+    settings["constant"] = not args.no_constant
+    if hasattr(args, "dependent"):
+        settings["dependent"] = sorted(args.dependent or [])
+        settings["independent"] = sorted(args.independent or [])
+    return {**settings, **resolved}
 
 
-def _write_bytes(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
+def _emit(args, result, settings, names, artifact=None) -> int:
+    """Write one command's output and return its exit code.
 
-
-def _emit(result, run_config: RunConfig, names, args) -> None:
+    stdout gets the human report, ``--out`` the ``artifact`` (a CSV table
+    ``(names, matrix)``) or the human report when there is none, and
+    ``--out-json`` the JSON report.  ``simulate`` without ``--out`` prints
+    its CSV instead of the human report.
+    """
+    run_config = RunConfig(args.command, settings)
     human = write_report(result, "human", run_config, names)
-    sys.stdout.write(human.decode("utf-8"))
-    if getattr(args, "out", None):
-        _write_bytes(args.out, human)
-    if getattr(args, "out_json", None):
-        _write_bytes(args.out_json, write_report(result, "json", run_config, names))
-
-
-def _role_settings(args) -> dict:
-    return {
-        "dependent": sorted(args.dependent or []),
-        "independent": sorted(args.independent or []),
-    }
+    if args.command == "simulate" and not args.out:
+        sys.stdout.write(format_csv(*artifact))
+    else:
+        sys.stdout.write(human.decode("utf-8"))
+    if args.out:
+        if artifact is None:
+            Path(args.out).write_bytes(human)
+        else:
+            write_csv(args.out, *artifact)
+    if args.out_json:
+        Path(args.out_json).write_bytes(write_report(result, "json", run_config, names))
+    return 0
 
 
 def _model_config(args, ds) -> ModelConfig:
@@ -247,23 +241,18 @@ def _model_config(args, ds) -> ModelConfig:
     )
 
 
-def _cmd_fit(args) -> int:
+def _load_and_fit(args):
+    """The dataset, configuration and least-squares fit of fit and forecast."""
     ds = load_dataset(args.input, args.dependent, args.independent)
     CriterionKind.from_string(args.criterion)
-    result = fit(ds, _model_config(args, ds))
-    run_config = RunConfig(
-        "fit",
-        {
-            "input": args.input,
-            "criterion": args.criterion,
-            "p": args.p,
-            "q": args.q,
-            "constant": not args.no_constant,
-            **_role_settings(args),
-        },
-    )
-    _emit(result, run_config, ds.names, args)
-    return 0
+    cfg = _model_config(args, ds)
+    return ds, cfg, fit(ds, cfg)
+
+
+def _cmd_fit(args) -> int:
+    ds, _, result = _load_and_fit(args)
+    settings = _settings(args, "input", "criterion", "p", "q")
+    return _emit(args, result, settings, ds.names)
 
 
 def _cmd_select(args) -> int:
@@ -271,49 +260,33 @@ def _cmd_select(args) -> int:
     kind = CriterionKind.from_string(args.criterion)
     method = SearchMethod.from_string(args.method)
     switch_names = args.search_partition or []
-    switchable = []
     for name in switch_names:
         if name not in ds.names:
             raise MissingColumnError(name)
-        switchable.append(ds.names.index(name))
     space = SearchSpace(
         p_max=args.p_max,
         q_max=args.q_max,
-        partition_mode=PartitionMode.SEARCH if switchable else PartitionMode.FIXED,
-        switchable=tuple(switchable),
+        partition_mode=PartitionMode.SEARCH if switch_names else PartitionMode.FIXED,
+        switchable=tuple(ds.names.index(name) for name in switch_names),
         include_constant=not args.no_constant,
     )
-    if method is SearchMethod.EXHAUSTIVE:
-        budget_value = args.budget
-        budget = None
-        if args.budget is not None:
-            budget = SearchBudget(args.budget, args.stagnation, args.seed)
-        result = exhaustive_search(ds, space, kind, budget)
-    else:
-        budget_value = args.budget if args.budget is not None else _DEFAULT_BUDGET
+    budget_value = args.budget
+    if budget_value is None and method is not SearchMethod.EXHAUSTIVE:
+        budget_value = _DEFAULT_BUDGET
+    budget = None
+    if budget_value is not None:
         budget = SearchBudget(budget_value, args.stagnation, args.seed)
-        result = _ENGINES[method](ds, space, kind, budget)
-    run_config = RunConfig(
-        "select",
-        {
-            "input": args.input,
-            "criterion": kind.value,
-            "method": method.value,
-            "p_max": args.p_max,
-            "q_max": args.q_max,
-            "search_partition": sorted(switch_names),
-            "budget": budget_value,
-            "stagnation": args.stagnation,
-            "seed": args.seed,
-            "constant": not args.no_constant,
-            **_role_settings(args),
-        },
+    result = _ENGINES[method](ds, space, kind, budget)
+    settings = _settings(
+        args, "input", "p_max", "q_max", "stagnation", "seed",
+        criterion=kind.value, method=method.value,
+        search_partition=sorted(switch_names), budget=budget_value,
     )
-    _emit(result, run_config, ds.names, args)
-    return 0
+    return _emit(args, result, settings, ds.names)
 
 
-def _coeff_common(args):
+def _cmd_coefficients(args) -> int:
+    """search-coeffs, and compare: the same search against least squares."""
     ds = load_dataset(args.input, args.dependent, args.independent)
     kind = CriterionKind.from_string(args.criterion)
     method = SearchMethod.from_string(args.method)
@@ -322,35 +295,17 @@ def _coeff_common(args):
             "exhaustive does not apply to coefficient space; choose "
             "ga, tabu, grasp, scatter or hybrid"
         )
+    search = (
+        compare_with_ols if args.command == "compare" else search_coefficients_full
+    )
     cfg = _model_config(args, ds)
     budget = SearchBudget(args.budget, args.stagnation, args.seed)
-    settings = {
-        "input": args.input,
-        "criterion": kind.value,
-        "method": method.value,
-        "p": args.p,
-        "q": args.q,
-        "budget": args.budget,
-        "stagnation": args.stagnation,
-        "seed": args.seed,
-        "constant": not args.no_constant,
-        **_role_settings(args),
-    }
-    return ds, cfg, kind, method, budget, settings
-
-
-def _cmd_search_coeffs(args) -> int:
-    ds, cfg, kind, method, budget, settings = _coeff_common(args)
-    outcome = search_coefficients_full(ds, cfg, kind, method, budget)
-    _emit(outcome, RunConfig("search-coeffs", settings), ds.names, args)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    ds, cfg, kind, method, budget, settings = _coeff_common(args)
-    report = compare_with_ols(ds, cfg, kind, method, budget)
-    _emit(report, RunConfig("compare", settings), ds.names, args)
-    return 0
+    result = search(ds, cfg, kind, method, budget)
+    settings = _settings(
+        args, "input", "p", "q", "budget", "stagnation", "seed",
+        criterion=kind.value, method=method.value,
+    )
+    return _emit(args, result, settings, ds.names)
 
 
 def _cmd_simulate(args) -> int:
@@ -379,11 +334,6 @@ def _cmd_simulate(args) -> int:
         exogenous="random_walk" if q > 0 else None,
     )
     ds = generate(spec)
-    csv_text = format_csv(ds.names, ds.observations)
-    if args.out:
-        _write_text(args.out, csv_text)
-    else:
-        sys.stdout.write(csv_text)
     report = SimulationReport(
         names=ds.names,
         t=args.t,
@@ -393,36 +343,13 @@ def _cmd_simulate(args) -> int:
         radius=companion_spectral_radius(coefficients),
         coefficients=coefficients,
     )
-    run_config = RunConfig(
-        "simulate",
-        {
-            "n_vars": args.n_vars,
-            "t": args.t,
-            "p": args.p,
-            "n_exog": args.n_exog,
-            "q": q,
-            "noise": args.noise,
-            "radius": args.radius,
-            "burn_in": args.burn_in,
-            "seed": args.seed,
-            "constant": not args.no_constant,
-        },
-    )
-    if args.out:
-        human = write_report(report, "human", run_config, ds.names)
-        sys.stdout.write(human.decode("utf-8"))
-    if args.out_json:
-        _write_bytes(
-            args.out_json, write_report(report, "json", run_config, ds.names)
-        )
-    return 0
+    flags = ("n_vars", "t", "p", "n_exog", "noise", "radius", "burn_in", "seed")
+    settings = _settings(args, *flags, q=q)
+    return _emit(args, report, settings, ds.names, (ds.names, ds.observations))
 
 
 def _cmd_forecast(args) -> int:
-    ds = load_dataset(args.input, args.dependent, args.independent)
-    CriterionKind.from_string(args.criterion)
-    cfg = _model_config(args, ds)
-    result = fit(ds, cfg)
+    ds, cfg, result = _load_and_fit(args)
     future_z = None
     if args.future_input:
         indep_names = [ds.names[i] for i in cfg.independent_indices]
@@ -430,38 +357,13 @@ def _cmd_forecast(args) -> int:
     values = forecast(ds, result, args.horizon, future_z)
     dep_names = tuple(ds.names[i] for i in cfg.dependent_indices)
     report = ForecastReport(values=values, columns=dep_names, horizon=args.horizon)
-    run_config = RunConfig(
-        "forecast",
-        {
-            "input": args.input,
-            "criterion": args.criterion,
-            "p": args.p,
-            "q": args.q,
-            "horizon": args.horizon,
-            "constant": not args.no_constant,
-            "future_input": args.future_input,
-            **_role_settings(args),
-        },
-    )
-    human = write_report(report, "human", run_config, ds.names)
-    sys.stdout.write(human.decode("utf-8"))
-    if args.out:
-        write_csv(args.out, dep_names, values)
-    if args.out_json:
-        _write_bytes(
-            args.out_json, write_report(report, "json", run_config, ds.names)
-        )
-    return 0
+    flags = ("input", "criterion", "p", "q", "horizon", "future_input")
+    return _emit(args, report, _settings(args, *flags), ds.names, (dep_names, values))
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

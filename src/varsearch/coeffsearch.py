@@ -125,6 +125,7 @@ class CoeffSearchParams:
             population_size=self.population_size,
             tournament_size=self.tournament_size,
             crossover_rate=self.crossover_rate,
+            mutation_rate=self.mutation_rate,
             elitism=self.elitism,
         )
         TabuParams(tenure=self.tenure)

@@ -172,19 +172,14 @@ def load_dataset(path, dependent=None, independent=None) -> TimeSeriesDataset:
                 f"columns {leftover} assigned to neither role; when both "
                 f"role lists are given they must cover every column"
             )
+    if dependent:
         roles = [
             Role.DEPENDENT if n in dependent else Role.INDEPENDENT for n in names
         ]
-    elif dependent:
-        roles = [
-            Role.DEPENDENT if n in dependent else Role.INDEPENDENT for n in names
-        ]
-    elif independent:
+    else:
         roles = [
             Role.INDEPENDENT if n in independent else Role.DEPENDENT for n in names
         ]
-    else:
-        roles = [Role.DEPENDENT] * len(names)
     return TimeSeriesDataset(
         observations=matrix, names=tuple(names), roles=tuple(roles)
     )

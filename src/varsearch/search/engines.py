@@ -85,6 +85,8 @@ class GAParams:
             raise ValueError("tournament_size must be >= 1")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
+        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
+            raise ValueError("mutation_rate must be in [0, 1]")
         if not 0 <= self.elitism < self.population_size:
             raise ValueError("need 0 <= elitism < population_size")
 
@@ -348,6 +350,7 @@ class _SearchRun(_Run):
     """
 
     def __init__(self, ds, space, kind, budget):
+        space.check_columns(ds)
         super().__init__(budget, limit=space.raw_size())
         self.ds = ds
         self.space = space

@@ -21,7 +21,7 @@ from scipy.linalg import lapack
 from ..criteria import CriterionKind, criterion_from_log_det
 from ..errors import NumericOverflowError, RankDeficientError, ValidationError
 from ..model import ModelConfig, TimeSeriesDataset, structural_violations
-from ..ols import DEGENERATE_RTOL, RANK_RTOL, fit
+from ..ols import RANK_RTOL, fit
 
 __all__ = ["derive_candidate_seed", "evaluate_config", "CrossProductEvaluator"]
 
@@ -135,8 +135,8 @@ class CrossProductEvaluator:
     value carries a bound on its distance from the QR value of
     ``evaluate_config``.  QR scores the candidate instead when the factor
     cannot tell: when the condition of X cannot rule out the QR rank flag
-    (``RANK_RTOL``) or the residual cannot rule out the perfect-fit snap
-    (``DEGENERATE_RTOL``); when the bound exceeds ``VALUE_TOLERANCE``; when
+    (``RANK_RTOL``); when the bound exceeds ``VALUE_TOLERANCE``, which it
+    does wherever the residual could meet the perfect-fit snap; when
     the candidate could be a new best; and when its interval meets the
     value of another cached candidate, which is then refitted by QR too if
     its own value was screened.  Every comparison a search makes therefore
@@ -272,8 +272,6 @@ class CrossProductEvaluator:
         if not rcond > 10.0 * k * RANK_RTOL:
             return None
         x_norm, y_norm = norms[:k], norms[k:]
-        if np.sum(r_yy * r_yy) <= (2.0 * DEGENERATE_RTOL) ** 2 * np.sum(y_norm**2):
-            return None
         coef, _ = lapack.dtrtrs(r_xx, r_xy)
         r_yy_inv, info = lapack.dtrtri(r_yy)
         if info != 0:
@@ -288,6 +286,10 @@ class CrossProductEvaluator:
                 2.0 * math.sqrt(self.effective_t + width) * sensitivity
                 + math.sqrt(self.effective_t) * float(np.linalg.norm(v @ v.T))
             )
+        # This test also sends every perfect fit to QR: row i of R_yy^-1
+        # holds 1 / |r_ii| >= 1 / ||R_yy||_F, so S >= ||Y||_F / ||R_yy||_F,
+        # and ||R_yy||_F <= 2 DEGENERATE_RTOL ||Y||_F, twice QR's snap
+        # threshold, gives S >= 5e11 and a bound above 1e-3.
         if not bound <= VALUE_TOLERANCE:
             return None
         log_det = 2.0 * float(np.sum(np.log(np.abs(np.diag(r_yy))))) - n * math.log(

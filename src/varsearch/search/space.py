@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..errors import EmptySpaceError
+from ..errors import EmptySpaceError, ValidationError
 from ..model import ModelConfig, TimeSeriesDataset, validate_config
 
 __all__ = [
@@ -73,6 +73,8 @@ class SearchSpace:
         switchable = tuple(sorted(int(i) for i in self.switchable))
         if len(set(switchable)) != len(switchable):
             raise ValueError("switchable column indices must be unique")
+        if switchable and switchable[0] < 0:
+            raise ValueError("switchable column indices must be >= 0")
         if self.partition_mode is PartitionMode.FIXED and switchable:
             raise ValueError("switchable columns require partition_mode=SEARCH")
         object.__setattr__(self, "switchable", switchable)
@@ -97,6 +99,13 @@ class SearchSpace:
     def genome_for(self, cfg: ModelConfig) -> tuple:
         bits = tuple(int(cfg.dependent_mask[i]) for i in self.switchable)
         return (cfg.p, cfg.q, bits)
+
+    def check_columns(self, ds: TimeSeriesDataset) -> None:
+        """Raise ``ValidationError`` if a switchable index is not a column of ds."""
+        last = self.switchable[-1] if self.switchable else -1
+        if last >= ds.n_vars:
+            message = f"switchable column {last} out of range for {ds.n_vars} columns"
+            raise ValidationError([message])
 
     def config_from_genome(self, genome, ds: TimeSeriesDataset) -> ModelConfig:
         p, q, bits = genome
@@ -175,9 +184,12 @@ def enumerate_space(space: SearchSpace, ds: TimeSeriesDataset) -> list:
 
     Raises
     ------
+    ValidationError
+        When a switchable index is not a column of ds.
     EmptySpaceError
         When no valid configuration remains.
     """
+    space.check_columns(ds)
     configs = []
     for genome in space.iter_genomes():
         cfg = space.config_from_genome(genome, ds)

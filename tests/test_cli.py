@@ -309,3 +309,176 @@ def test_module_entry_point_reports_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+@pytest.fixture
+def contract_files(tmp_path):
+    rng = np.random.default_rng(12)
+    data = tmp_path / "data.csv"
+    write_csv(data, ("y1", "y2", "z"), rng.normal(size=(60, 3)))
+    future = tmp_path / "future.csv"
+    write_csv(future, ("y2", "z"), rng.normal(size=(2, 2)))
+    return {"data": str(data), "future": str(future)}
+
+
+# (argv with {data}/{future} placeholders, the exact settings recorded).
+# The settings are the flags as given, ``constant``, the sorted role lists
+# where the command has role flags, and the values the command resolved
+# (canonical criterion and method for select and the coefficient commands,
+# the budget default, simulate's q); fit and forecast keep --criterion raw.
+_CONTRACT_CASES = {
+    "fit": (
+        "fit --input {data} --p 1 --criterion BIC --dependent y2 --dependent y1",
+        {
+            "input": "{data}", "criterion": "BIC", "p": 1, "q": 0,
+            "constant": True, "dependent": ["y1", "y2"], "independent": [],
+        },
+    ),
+    "select-exhaustive": (
+        "select --input {data} --p-max 2 --method Exhaustive --criterion HQC "
+        "--independent z --no-constant",
+        {
+            "input": "{data}", "criterion": "hqc", "method": "exhaustive",
+            "p_max": 2, "q_max": 0, "search_partition": [], "budget": None,
+            "stagnation": 200, "seed": 0, "constant": False,
+            "dependent": [], "independent": ["z"],
+        },
+    ),
+    "select-tabu": (
+        "select --input {data} --dependent y1 --p-max 2 --q-max 1 "
+        "--search-partition z --search-partition y2 --method TABU --seed 3",
+        {
+            "input": "{data}", "criterion": "aic", "method": "tabu",
+            "p_max": 2, "q_max": 1, "search_partition": ["y2", "z"],
+            "budget": 1000, "stagnation": 200, "seed": 3, "constant": True,
+            "dependent": ["y1"], "independent": [],
+        },
+    ),
+    "search-coeffs": (
+        "search-coeffs --input {data} --p 1 --method Grasp --criterion Bic "
+        "--budget 40 --stagnation 15 --seed 2 --dependent y1 "
+        "--independent z --independent y2",
+        {
+            "input": "{data}", "criterion": "bic", "method": "grasp",
+            "p": 1, "q": 0, "budget": 40, "stagnation": 15, "seed": 2,
+            "constant": True, "dependent": ["y1"], "independent": ["y2", "z"],
+        },
+    ),
+    "compare": (
+        "compare --input {data} --p 1 --q 1 --method ga --budget 40 "
+        "--independent z",
+        {
+            "input": "{data}", "criterion": "aic", "method": "ga",
+            "p": 1, "q": 1, "budget": 40, "stagnation": 200, "seed": 0,
+            "constant": True, "dependent": [], "independent": ["z"],
+        },
+    ),
+    "simulate": (
+        "simulate --n-vars 2 --t 30 --n-exog 1 --noise 0.5 --seed 4",
+        {
+            "n_vars": 2, "t": 30, "p": 1, "n_exog": 1, "q": 1, "noise": 0.5,
+            "radius": 0.9, "burn_in": 100, "seed": 4, "constant": True,
+        },
+    ),
+    "forecast": (
+        "forecast --input {data} --p 1 --criterion Hqc --horizon 2 "
+        "--dependent y1 --dependent y2",
+        {
+            "input": "{data}", "criterion": "Hqc", "p": 1, "q": 0,
+            "horizon": 2, "constant": True, "future_input": None,
+            "dependent": ["y1", "y2"], "independent": [],
+        },
+    ),
+    "forecast-future": (
+        "forecast --input {data} --dependent y1 --p 1 --q 1 --horizon 2 "
+        "--future-input {future}",
+        {
+            "input": "{data}", "criterion": "aic", "p": 1, "q": 1,
+            "horizon": 2, "constant": True, "future_input": "{future}",
+            "dependent": ["y1"], "independent": [],
+        },
+    ),
+}
+
+# the literal settings line of each case's human report
+_CONTRACT_LINES = {
+    "fit": "settings: constant=True, criterion=BIC, dependent=['y1', 'y2'], "
+    "independent=[], input={data}, p=1, q=0",
+    "select-exhaustive": "settings: budget=None, constant=False, criterion=hqc, "
+    "dependent=[], independent=['z'], input={data}, method=exhaustive, "
+    "p_max=2, q_max=0, search_partition=[], seed=0, stagnation=200",
+    "select-tabu": "settings: budget=1000, constant=True, criterion=aic, "
+    "dependent=['y1'], independent=[], input={data}, method=tabu, p_max=2, "
+    "q_max=1, search_partition=['y2', 'z'], seed=3, stagnation=200",
+    "search-coeffs": "settings: budget=40, constant=True, criterion=bic, "
+    "dependent=['y1'], independent=['y2', 'z'], input={data}, method=grasp, "
+    "p=1, q=0, seed=2, stagnation=15",
+    "compare": "settings: budget=40, constant=True, criterion=aic, "
+    "dependent=[], independent=['z'], input={data}, method=ga, p=1, q=1, "
+    "seed=0, stagnation=200",
+    "simulate": "settings: burn_in=100, constant=True, n_exog=1, n_vars=2, "
+    "noise=0.5, p=1, q=1, radius=0.9, seed=4, t=30",
+    "forecast": "settings: constant=True, criterion=Hqc, dependent=['y1', 'y2'], "
+    "future_input=None, horizon=2, independent=[], input={data}, p=1, q=0",
+    "forecast-future": "settings: constant=True, criterion=aic, "
+    "dependent=['y1'], future_input={future}, horizon=2, independent=[], "
+    "input={data}, p=1, q=1",
+}
+
+
+def _fill(value, files):
+    if isinstance(value, str):
+        return value.format(**files)
+    if isinstance(value, list):
+        return [_fill(v, files) for v in value]
+    if isinstance(value, dict):
+        return {k: _fill(v, files) for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("outputs", ["none", "json", "both"])
+@pytest.mark.parametrize("case", sorted(_CONTRACT_CASES))
+def test_settings_and_artifact_routing(case, outputs, contract_files, tmp_path, capsys):
+    """Each command records its settings by one rule and routes its output:
+    stdout the human report (simulate without --out: the CSV), --out the
+    command's artifact (the human report when it has none), --out-json the
+    JSON report."""
+    argv_text, expected = _CONTRACT_CASES[case]
+    command = argv_text.split()[0]
+    argv = argv_text.format(**contract_files).split()
+    expected = _fill(expected, contract_files)
+    settings_line = _fill(_CONTRACT_LINES[case], contract_files)
+    out_path = tmp_path / "artifact.out"
+    json_path = tmp_path / "report.json"
+    if outputs == "both":
+        argv += ["--out", str(out_path)]
+    if outputs in ("json", "both"):
+        argv += ["--out-json", str(json_path)]
+
+    assert cli_main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    stdout = captured.out
+    csv_artifact = {"simulate": "y1,y2,z1\n", "forecast": "y1"}.get(command)
+
+    if command == "simulate" and outputs != "both":
+        assert stdout.startswith(csv_artifact)
+        assert "settings:" not in stdout
+    else:
+        lines = stdout.splitlines()
+        assert lines[0].startswith(f"varsearch {command} report")
+        assert lines[1] == settings_line
+    if outputs == "both":
+        written = out_path.read_text(encoding="utf-8")
+        if csv_artifact is None:
+            assert written == stdout
+        else:
+            assert written.startswith(csv_artifact)
+            assert "settings:" not in written
+    else:
+        assert not out_path.exists()
+    if outputs == "none":
+        assert not json_path.exists()
+    else:
+        doc = parse_report(json_path.read_bytes())
+        assert doc["run"] == {"command": command, "settings": expected}

@@ -23,6 +23,8 @@ from varsearch import (
     search_coefficients_full,
 )
 
+from varsearch import coeffsearch
+
 from .conftest import make_dataset, noisy_dataset
 
 COEFF_METHODS = [
@@ -215,17 +217,80 @@ class TestCoefficientEngines:
             {"elitism": -1},
             {"crossover_rate": -0.1},
             {"crossover_rate": 1.5},
+            {"mutation_rate": -3},
+            {"mutation_rate": 5.0},
         ],
         ids=[
             "elitism-fills-population",
             "negative-elitism",
             "crossover-below-0",
             "crossover-above-1",
+            "mutation-below-0",
+            "mutation-above-1",
         ],
     )
     def test_ga_settings_rejected_as_in_configuration_ga(self, bad):
         with pytest.raises(ValueError):
             CoeffSearchParams(**bad)
+
+
+    def test_scatter_breeds_from_the_improved_children(self, monkeypatch):
+        # with the children's noise switched off, a round's children are
+        # the midpoints of the reference set's pairs; the second round's
+        # must be bred from the first round's descended children
+        ds = noisy_dataset(seed=1, n=1, p=1, t=60)
+        cfg = ModelConfig(p=1, q=0, dependent_mask=(True,))
+        params = CoeffSearchParams(ref_size=5, n_best=2, initial_pool_size=6)
+        rng = coeffsearch._CoeffRun.rng
+
+        class Noiseless:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def normal(self, loc, scale, size):
+                return np.zeros(size)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        batches, descended = [], []
+        score = coeffsearch._CoeffRun.score
+        descend = coeffsearch._descend
+
+        def scoring(run, candidates):
+            batches.append([np.array(c) for c in candidates])
+            return score(run, candidates)
+
+        def descending(run, theta, key):
+            out = descend(run, theta, key)
+            descended.append(out[0])
+            return out
+
+        monkeypatch.setattr(
+            coeffsearch._CoeffRun, "rng", lambda run, i: Noiseless(rng(run, i))
+        )
+        monkeypatch.setattr(coeffsearch._CoeffRun, "score", scoring)
+        monkeypatch.setattr(coeffsearch, "_descend", descending)
+        search_coefficients_full(
+            ds, cfg, CriterionKind.AIC, SearchMethod.SCATTER,
+            SearchBudget(4000, 4000, 1), params,
+        )
+        pool = batches[0]
+        first, second = [b for b in batches[1:] if len(b) == 10][:2]
+        improved = descended[:10]
+        members = pool + improved
+        parents = []
+        for child in second:
+            pairs = [
+                (i, j)
+                for i in range(len(members))
+                for j in range(i + 1, len(members))
+                if np.array_equal(0.5 * (members[i] + members[j]), child)
+            ]
+            assert pairs, "a child is not the midpoint of two known candidates"
+            parents += [k for pair in pairs for k in pair]
+        assert any(k >= len(pool) for k in parents)
+        assert not all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 class TestCompareWithOls:

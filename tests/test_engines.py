@@ -258,6 +258,42 @@ class TestMetaheuristics:
         oracle = exhaustive_search(ds, space, CriterionKind.AIC, SearchBudget(4))
         assert result.best_value == oracle.best_value
         assert result.evaluations_used == 4
+        # swept in enumeration order, not sampled
+        assert [cfg.p for cfg, _ in result.candidate_log] == [1, 2, 3, 4]
+
+    def test_scatter_refresh_joins_the_reference_set(self, monkeypatch):
+        # a round that scores nothing samples a refresh; when the refresh
+        # scores something, the next reference set is built from a pool
+        # that holds every refreshed genome
+        ds, space = small_space_problem(seed=2)
+        events = []
+        runs = []
+        sample = engines._SearchRun.sample
+        select_diverse = engines._select_diverse
+
+        def keys(genomes):
+            return {space.genome_order_key(g) for g in genomes}
+
+        def spying_sample(run, rng, count):
+            runs.append(run)
+            out = sample(run, rng, count)
+            events.append(("sample", keys(out), run.evaluations_used))
+            return out
+
+        def spying_select(candidates, refset, count):
+            events.append(("select", keys(list(candidates) + list(refset)), None))
+            return select_diverse(candidates, refset, count)
+
+        monkeypatch.setattr(engines._SearchRun, "sample", spying_sample)
+        monkeypatch.setattr(engines, "_select_diverse", spying_select)
+        scatter_search(ds, space, CriterionKind.AIC, SearchBudget(80, 50, 2))
+        samples = [i for i, e in enumerate(events) if e[0] == "sample"]
+        assert len(samples) >= 2  # the first is the initial pool
+        joined = []
+        for i in samples[1:]:
+            pool = next((e[1] for e in events[i + 1 :] if e[0] == "select"), set())
+            joined.append(events[i][1] <= pool)
+        assert any(joined)
 
     def test_hybrid_competitive_with_components(self):
         ds, space = small_space_problem()
@@ -322,6 +358,36 @@ class TestMetaheuristics:
         assert exhaustive_search(ds, space, CriterionKind.AIC).method == "exhaustive"
 
 
+class TestSampling:
+    """``_SearchRun.sample`` above the size where the raw space is listed."""
+
+    @staticmethod
+    def big_space_run():
+        # 2 * 2 * 2**17 raw genomes, above the 100,000 that are materialized
+        ds = make_dataset(np.random.default_rng(0).normal(size=(40, 17)))
+        space = SearchSpace(
+            p_max=2, q_max=1, partition_mode=PartitionMode.SEARCH,
+            switchable=tuple(range(17)),
+        )
+        assert space.raw_size() > engines._DISTINCT_SAMPLE_MATERIALIZE
+        return engines._SearchRun(ds, space, CriterionKind.AIC, SearchBudget(10)), space
+
+    def test_returns_count_distinct_genomes_in_the_space(self):
+        run, space = self.big_space_run()
+        genomes = run.sample(np.random.default_rng(3), 200)
+        assert len(genomes) == 200
+        assert len({space.genome_order_key(g) for g in genomes}) == 200
+        for p, q, bits in genomes:
+            assert 1 <= p <= 2 and 0 <= q <= 1
+            assert len(bits) == 17 and set(bits) <= {0, 1}
+
+    def test_deterministic_for_a_seed(self):
+        run, _ = self.big_space_run()
+        first = run.sample(np.random.default_rng(4), 50)
+        assert run.sample(np.random.default_rng(4), 50) == first
+        assert run.sample(np.random.default_rng(5), 50) != first
+
+
 class TestTabuStep:
     """The one tabu rule both engine families step with."""
 
@@ -382,6 +448,11 @@ class TestParamValidation:
             GAParams(crossover_rate=1.5)
         with pytest.raises(ValueError):
             GAParams(population_size=4, elitism=4)
+        for rate in (-1.0, -1e-12, 1.0 + 1e-12, 5.0, math.nan):
+            with pytest.raises(ValueError, match="mutation_rate"):
+                GAParams(mutation_rate=rate)
+        for rate in (None, 0.0, 0.25, 1.0):
+            assert GAParams(mutation_rate=rate).mutation_rate == rate
 
     def test_tabu_params(self):
         with pytest.raises(ValueError):
@@ -432,6 +503,54 @@ class TestCandidateScoring:
                 screened += 1
                 assert abs(got[0] - want) <= min(got[1], 1e-9)
         assert screened > 0
+
+    def test_intervals_meet_through_the_left_neighbour(self):
+        intervals = evaluation._Intervals()
+        intervals.add(0.0, 2.0, "a", None)
+        assert intervals.meets(1.0, 1.5)  # starts inside [0, 2]
+        assert intervals.meets(2.0, 3.0)
+        assert intervals.meets(-1.0, 0.0)
+        assert not intervals.meets(2.5, 3.0)
+        assert not intervals.meets(-1.0, -0.5)
+
+    def test_hqc_at_two_rows_matches_a_qr_only_search(self):
+        # T' = 2 < e: HQC is undefined for every candidate, so the screen
+        # must leave them all to QR rather than raise
+        ds = make_dataset(np.random.default_rng(1).normal(size=(3, 2)))
+        space = SearchSpace(
+            p_max=1, partition_mode=PartitionMode.SEARCH, switchable=(0, 1),
+            include_constant=False,
+        )
+        assert_same_as_qr(exhaustive_search, ds, space, CriterionKind.HQC)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_perfect_fits_are_scored_by_qr(self, scale, kind):
+        # y(t) = A y(t-1) + B z(t-1) + c exactly, z a random walk: the
+        # candidates that hold lag 1 of both fit exactly (QR: -inf); B has
+        # rank one, so the residuals of the others are singular too, and
+        # QR gives -inf or a rounding-made finite value
+        rng = np.random.default_rng(6)
+        a = np.array([[0.5, 0.2], [-0.3, 0.4]])
+        b = np.array([[1.0, -0.5]])
+        obs = np.zeros((40, 3))
+        obs[:, 2] = np.cumsum(rng.normal(size=40))
+        obs[0, :2] = rng.normal(size=2)
+        for t in range(1, 40):
+            obs[t, :2] = obs[t - 1, :2] @ a + obs[t - 1, 2:] @ b + [0.3, -0.1]
+        ds = make_dataset(
+            obs * scale, roles=(Role.DEPENDENT, Role.DEPENDENT, Role.INDEPENDENT)
+        )
+        space = SearchSpace(p_max=2, q_max=2)
+        evaluator = CrossProductEvaluator(ds, space, kind)
+        perfect = 0
+        for cfg in enumerate_space(space, ds):
+            value, _ = evaluate_config(ds, cfg, kind, space.common_row_start)
+            if value == -math.inf:
+                perfect += 1
+                assert evaluator._screen(cfg, cfg.n_design_columns()) is None
+        assert perfect >= 2
+        assert_same_as_qr(exhaustive_search, ds, space, kind)
 
     def test_qr_value_inside_a_screened_interval_refits_it(self, monkeypatch):
         # the same configuration under two order keys: the second one's

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from varsearch import (
+    CriterionKind,
     EmptySpaceError,
     ModelConfig,
     PartitionMode,
@@ -11,8 +12,16 @@ from varsearch import (
     SearchBudget,
     SearchMethod,
     SearchSpace,
+    ValidationError,
     enumerate_space,
+    exhaustive_search,
+    ga_search,
+    grasp_search,
+    hybrid_search,
+    scatter_search,
+    tabu_search,
 )
+from varsearch.search.evaluation import CrossProductEvaluator
 
 from .conftest import make_dataset
 
@@ -108,6 +117,49 @@ def test_space_validation():
         SearchSpace(p_max=1, q_max=-1)
     with pytest.raises(ValueError):
         SearchSpace(p_max=1, switchable=(0,))  # fixed mode forbids switchable
+
+
+def test_negative_switchable_index_rejected():
+    # -1 would alias the last column: (-1, 2) on three columns gave two
+    # bits for column 2
+    with pytest.raises(ValueError, match=">= 0"):
+        SearchSpace(p_max=1, partition_mode=PartitionMode.SEARCH, switchable=(-1, 2))
+
+
+def _three_columns():
+    return make_dataset(np.random.default_rng(3).normal(size=(40, 3)))
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda ds, space: enumerate_space(space, ds),
+        lambda ds, space: exhaustive_search(ds, space, CriterionKind.AIC),
+    ]
+    + [
+        lambda ds, space, engine=engine: engine(
+            ds, space, CriterionKind.AIC, SearchBudget(20)
+        )
+        for engine in (ga_search, tabu_search, grasp_search, scatter_search,
+                       hybrid_search)
+    ],
+    ids=["enumerate", "exhaustive", "ga", "tabu", "grasp", "scatter", "hybrid"],
+)
+def test_switchable_index_past_the_last_column_is_a_validation_error(
+    search, monkeypatch
+):
+    scored = []
+    evaluate = CrossProductEvaluator.evaluate
+
+    def counting(self, cfg, order, best_value):
+        scored.append(order)
+        return evaluate(self, cfg, order, best_value)
+
+    monkeypatch.setattr(CrossProductEvaluator, "evaluate", counting)
+    space = SearchSpace(p_max=1, partition_mode=PartitionMode.SEARCH, switchable=(0, 3))
+    with pytest.raises(ValidationError, match="switchable column 3"):
+        search(_three_columns(), space)
+    assert scored == []
 
 
 def test_budget_validation():
