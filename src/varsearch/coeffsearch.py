@@ -149,8 +149,8 @@ class CoeffSearchOutcome:
     method: str = ""
     criterion: str = ""
     config: ModelConfig = None
-    # the searched regression system; compare_with_ols scores the OLS
-    # solution on it instead of building it again
+    # the searched regression system; compare_with_ols scores the search's
+    # coefficients under every criterion on it
     _problem: object = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -331,7 +331,7 @@ def _coeff_scatter(run: _CoeffRun, params: CoeffSearchParams) -> None:
         return [members[i] for i in chosen], [member_values[i] for i in chosen]
 
     refset, ref_values = build_refset(pool, values)
-    while True:
+    for _ in run.rounds():
         children = []
         for i in range(len(refset)):
             for j in range(i + 1, len(refset)):
@@ -414,22 +414,19 @@ def compare_with_ols(
     """Search coefficient space and report the gap to least squares.
 
     Both sides are scored on the same regression sample with the same
-    parameter count, so the gap isolates optimizer quality.
+    parameter count, and ``fit`` scores its residuals with the function the
+    search scores with, so the gap isolates optimizer quality.
     """
     ols_fit = fit(ds, cfg)
     outcome = search_coefficients_full(ds, cfg, kind, method, budget, params)
     problem = outcome._problem
     theta_ols = ols_fit.coefficients.flatten().reshape(-1)
-    ols_value = problem.fitness(theta_ols)
+    ols_value = ols_fit.criterion(kind)
     search_value = outcome.value
-    degenerate = math.isinf(ols_value) and ols_value < 0
-    if degenerate:
-        gap = 0.0
-    else:
-        gap = search_value - ols_value
+    gap = 0.0 if ols_fit.degenerate else search_value - ols_value
     distance = float(np.linalg.norm(outcome.theta - theta_ols))
     per_criterion = {
-        "ols": problem.criteria(theta_ols),
+        "ols": {k.value: value for k, value in ols_fit.criterion_values.items()},
         "search": problem.criteria(outcome.theta),
     }
     return ComparisonReport(
@@ -442,7 +439,7 @@ def compare_with_ols(
         coefficient_distance=distance,
         evaluations_used=outcome.evaluations_used,
         per_criterion=per_criterion,
-        degenerate=degenerate,
+        degenerate=ols_fit.degenerate,
         ols_coefficients=ols_fit.coefficients,
         search_coefficients=outcome.coefficients,
         effective_t=problem.system.effective_t,

@@ -6,8 +6,8 @@ For regression row r (time point j = row_start + r) the design row is
 
 with y restricted to the dependent columns and z to the independent
 columns of the configuration.  Column blocks are ordered lag-1 first and
-the constant column, when present, comes last.  Rows are materialized
-copies; the Toeplitz overlap between consecutive rows is not exploited.
+the constant column, when present, comes last.  X and Y are gathered
+through one column map from one lag window, which the search evaluator reads.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ValidationError
 from .model import ModelConfig, TimeSeriesDataset, structural_violations
@@ -44,6 +45,26 @@ class RegressionSystem:
         return self.x.shape[1]
 
 
+def _lag_window(obs: np.ndarray, start: int, max_lag: int) -> np.ndarray:
+    """Read-only view W with W[r, lag] = obs[start + r - lag], nothing copied.
+
+    Row r holds time point start + r and its lags 0 to ``max_lag`` <=
+    ``start``; a row flattened holds (lag, variable) in column lag * m +
+    variable.
+    """
+    row, col = obs.strides
+    shape = (obs.shape[0] - start, max_lag + 1, obs.shape[1])
+    return as_strided(obs[start:], shape, (row, -row, col), writeable=False)
+
+
+def _design_columns(cfg: ModelConfig):
+    """``(lags, variables)`` of the columns of X before the constant, in order."""
+    dep, indep = cfg.dependent_indices, cfg.independent_indices
+    lags = [*range(1, cfg.p + 1), *range(1, cfg.q + 1)]
+    widths = [len(dep)] * cfg.p + [len(indep)] * cfg.q
+    return np.repeat(lags, widths), np.array(dep * cfg.p + indep * cfg.q)
+
+
 def build_regression_system(
     ds: TimeSeriesDataset, cfg: ModelConfig, row_start=None
 ) -> RegressionSystem:
@@ -69,18 +90,13 @@ def build_regression_system(
     if violations:
         raise ValidationError(violations)
     start = cfg.row_start if row_start is None else row_start
-    obs = ds.observations
-    t_total = ds.n_obs
-    dep = list(cfg.dependent_indices)
-    indep = list(cfg.independent_indices) if cfg.q > 0 else []
-
-    y = obs[start:, dep]
-    blocks = []
-    for lag in range(1, cfg.p + 1):
-        blocks.append(obs[start - lag : t_total - lag, dep])
-    for lag in range(1, cfg.q + 1):
-        blocks.append(obs[start - lag : t_total - lag, indep])
-    if cfg.include_constant:
-        blocks.append(np.ones((t_total - start, 1)))
-    x = np.hstack(blocks)
-    return RegressionSystem(y=y.copy(), x=x, config=cfg, row_start=start)
+    window = _lag_window(ds.observations, start, start)
+    lags, variables = _design_columns(cfg)
+    # the layout stacking the lag blocks gave, which the products' last bits
+    # depend on: C order when every block is one column, else Fortran order
+    order = "C" if lags.size == cfg.p + cfg.q else "F"
+    x = np.empty((window.shape[0], cfg.n_design_columns()), order=order)
+    x[:, : lags.size] = window[:, lags, variables]
+    x[:, lags.size :] = 1.0
+    y = window[:, 0, list(cfg.dependent_indices)].copy()
+    return RegressionSystem(y=y, x=x, config=cfg, row_start=start)

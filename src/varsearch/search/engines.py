@@ -5,7 +5,8 @@ tabu search, GRASP, scatter search, and a GRASP+tabu hybrid).  The GA
 (``_ga``), tabu search (``_tabu``), GRASP construction (``_construct``),
 steepest descent (``_descend``) and the hybrid (``_hybrid``) are written
 once.  They drive a space's ``_Run``, which keeps budget, stagnation, the
-best candidate, the trajectory and the random streams, and supplies the
+best candidate, the trajectory and the random streams, counts each round
+of ``_Run.rounds`` that scored nothing as a stall, and supplies the
 operators: ``score(candidates) -> keys`` (scoring and recording the fresh
 ones), ``sample``, ``moves`` as ``(attr, abandoned, candidate)``,
 ``crossover``, ``mutate``, ``genome_length``, ``construction`` (a start
@@ -19,9 +20,9 @@ In the configuration space:
 
 * the budget counts distinct candidates scored, not least-squares fits;
   revisiting a cached candidate is free,
-* stagnation counts evaluations without improvement and also iterations
-  that scored nothing, and a search stops once it has scored every genome
-  of the raw space, as nothing is left to find,
+* stagnation counts evaluations without improvement and also rounds that
+  scored nothing, and a search stops once it has scored every genome of
+  the raw space, as nothing is left to find,
 * candidates are compared by the key (criterion value, parameter count,
   genome order), so ties prefer smaller models and then earlier genomes,
 * every random draw comes from streams derived from the master seed alone,
@@ -150,8 +151,8 @@ class _Run:
     the module docstring).  ``record`` counts one scored candidate and
     keeps the best by ``key``; the search stops once ``limit`` candidates
     have been scored (the budget, or fewer when the whole space is smaller)
-    or after ``stagnation_limit`` scored candidates and stalled iterations
-    without an improvement.
+    or after ``stagnation_limit`` scored candidates and rounds that scored
+    nothing without an improvement; every engine loops over ``rounds``.
     """
 
     def __init__(self, budget: SearchBudget, limit=math.inf):
@@ -181,10 +182,18 @@ class _Run:
             raise _SearchStop
 
     def stall(self) -> None:
-        """A candidate or an engine iteration brought no improvement."""
+        """A candidate or an engine round brought no improvement."""
         self.stagnation += 1
         if self.stagnation >= self.budget.stagnation_limit:
             raise _SearchStop
+
+    def rounds(self):
+        """Round indices 0, 1, ...; a round that scored nothing is a stall."""
+        for index in itertools.count():
+            before = self.evaluations_used
+            yield index
+            if self.evaluations_used == before:
+                self.stall()
 
     def drive(self, engine, *args):
         """Run ``engine(self, *args)`` until the search stops."""
@@ -275,8 +284,7 @@ def _ga(run: _Run, params) -> None:
         picks = ops_rng.integers(0, len(population), size=params.tournament_size)
         return population[min(picks.tolist(), key=keys.__getitem__)]
 
-    while True:
-        before = run.evaluations_used
+    for _ in run.rounds():
         ranked = sorted(range(len(population)), key=keys.__getitem__)
         offspring = [population[i] for i in ranked[: params.elitism]]
         while len(offspring) < len(population):
@@ -287,8 +295,6 @@ def _ga(run: _Run, params) -> None:
             offspring.append(run.mutate(child, ops_rng, rate))
         keys = run.score(offspring)
         population = offspring
-        if run.evaluations_used == before:
-            run.stall()
 
 
 def _tabu(run: _Run, params) -> None:
@@ -296,22 +302,16 @@ def _tabu(run: _Run, params) -> None:
     current = run.sample(run.rng(_STREAM_INIT), 1)[0]
     run.score([current])
     tabu_until = {}
-    for iteration in itertools.count(1):
-        before = run.evaluations_used
-        current = _tabu_move(run, current, tabu_until, iteration, params.tenure)
-        if run.evaluations_used == before:
-            run.stall()
+    for iteration in run.rounds():
+        current = _tabu_move(run, current, tabu_until, iteration + 1, params.tenure)
 
 
 def _grasp(run: _Run, params) -> None:
     """Multistart GRASP: construction (``params.alpha``) plus steepest descent."""
     run.anchor()
-    for round_index in itertools.count():
-        before = run.evaluations_used
+    for round_index in run.rounds():
         rng = run.rng(_STREAM_ROUND_BASE + round_index)
         _descend(run, *_construct(run, rng, params.alpha))
-        if run.evaluations_used == before:
-            run.stall()
 
 
 def _hybrid(run: _Run, params, share: float) -> None:
@@ -323,7 +323,7 @@ def _hybrid(run: _Run, params, share: float) -> None:
     """
     multiplier = (1.0 - share) / share
     run.anchor()
-    for round_index in itertools.count():
+    for round_index in run.rounds():
         before = run.evaluations_used
         rng = run.rng(_STREAM_ROUND_BASE + round_index)
         current, _ = _construct(run, rng, params.alpha)
@@ -338,8 +338,6 @@ def _hybrid(run: _Run, params, share: float) -> None:
             current = _tabu_move(run, current, tabu_until, iteration, params.tenure)
             if run.evaluations_used == step_before:
                 break
-        if run.evaluations_used == before:
-            run.stall()
 
 
 class _SearchRun(_Run):
@@ -394,14 +392,8 @@ class _SearchRun(_Run):
         raw = space.raw_size()
         count = min(count, raw)
         if raw <= _DISTINCT_SAMPLE_MATERIALIZE:
-            # index -> (p, q, mask) in raw order: p outermost, mask innermost
-            out = []
-            for index in rng.choice(raw, size=count, replace=False).tolist():
-                p, rem = divmod(index, (space.q_max + 1) * space.mask_count)
-                q, mask = divmod(rem, space.mask_count)
-                bits = tuple((mask >> i) & 1 for i in range(space.n_bits))
-                out.append((p + 1, q, bits))
-            return out
+            indices = rng.choice(raw, size=count, replace=False).tolist()
+            return [space.genome_at(index) for index in indices]
         out = []
         seen = set()
         attempts = 0
@@ -646,7 +638,7 @@ def _scatter(run: _SearchRun, params: ScatterParams) -> None:
     pool = run.sample(init_rng, params.initial_pool_size)
     run.evaluate_batch(pool)
     refset = [descend(g) for g in build_refset(pool)]
-    while True:
+    for _ in run.rounds():
         before = run.evaluations_used
         children = []
         for i in range(len(refset)):
@@ -658,9 +650,7 @@ def _scatter(run: _SearchRun, params: ScatterParams) -> None:
         if run.evaluations_used == before:
             refresh = run.sample(ops_rng, params.initial_pool_size)
             run.evaluate_batch(refresh)
-            if run.evaluations_used == before:
-                run.stall()
-            else:
+            if run.evaluations_used > before:
                 refset = build_refset(refset + refresh)
 
 

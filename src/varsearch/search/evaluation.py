@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ..criteria import CriterionKind, criterion_from_log_det
+from ..design import _design_columns, _lag_window
 from ..errors import NumericOverflowError, RankDeficientError, ValidationError
 from ..model import ModelConfig, TimeSeriesDataset, structural_violations
 from ..ols import RANK_RTOL, fit
@@ -124,12 +125,13 @@ class CrossProductEvaluator:
     Every candidate of a search is fitted on the same rows, from
     ``space.common_row_start`` on, so its design X and targets Y are
     columns of Z = [obs(t) | obs(t-1) ... obs(t-L) | 1] with
-    L = max(p_max, q_max).  The triangular factor R of Z is built once; as
-    Z = QR, the columns of R for [X Y] have the same triangular factor as
-    [X Y] itself.  A candidate then costs one Householder QR of its
-    (K+n)-column slice of R, which gives R_xx, R_xy and R_yy with
-    E'E = R_yy'R_yy, so ln det(E'E) = 2 sum ln |diag(R_yy)| whatever the
-    sample size.
+    L = max(p_max, q_max); Z's rows and each candidate's columns of Z come
+    from the lag window and the column map ``build_regression_system``
+    reads.  The triangular factor R of Z is built once; as Z = QR, the
+    columns of R for [X Y] have the same triangular factor as [X Y] itself.
+    A candidate then costs one Householder QR of its (K+n)-column slice of
+    R, which gives R_xx, R_xy and R_yy with E'E = R_yy'R_yy, so
+    ln det(E'E) = 2 sum ln |diag(R_yy)| whatever the sample size.
 
     Householder QR is backward stable column by column, so each screened
     value carries a bound on its distance from the QR value of
@@ -175,17 +177,16 @@ class CrossProductEvaluator:
         J. Sci. Comput. 34, 2012).  Only one block of Z exists at a time,
         and the column norms of Z are those of R.
         """
-        t_total, m = obs.shape
-        width = m * (max_lag + 1) + 1
+        window = _lag_window(obs, self.row_start, max_lag)
+        width = window[0].size + 1
         factor = np.empty((0, width))
         block = np.empty((_CHUNK, width))
         block[:, -1] = 1.0
-        for r0 in range(self.row_start, t_total, _CHUNK):
-            rows = min(_CHUNK, t_total - r0)
-            part = block[:rows]
-            for lag in range(max_lag + 1):
-                part[:, lag * m : (lag + 1) * m] = obs[r0 - lag : r0 - lag + rows]
-            qr = lapack.dgeqrf(np.vstack([factor, part]))[0]
+        lagged = block[:, :-1].reshape(_CHUNK, *window.shape[1:])  # a view of block
+        for r0 in range(0, len(window), _CHUNK):
+            rows = min(_CHUNK, len(window) - r0)
+            lagged[:rows] = window[r0 : r0 + rows]
+            qr = lapack.dgeqrf(np.vstack([factor, block[:rows]]))[0]
             factor = np.triu(qr[:width])
         self._factor = factor
         # entries that overflow make their candidates fall back to QR
@@ -229,17 +230,6 @@ class CrossProductEvaluator:
             self._intervals.add(value, value, order, None)
         return value, fit_result
 
-    def _columns(self, cfg: ModelConfig):
-        """Columns of Z for X, in ``design.py`` order, and for Y."""
-        m = self.ds.n_vars
-        dep = cfg.dependent_indices
-        indep = cfg.independent_indices if cfg.q > 0 else ()
-        x = [lag * m + a for lag in range(1, cfg.p + 1) for a in dep]
-        x += [lag * m + a for lag in range(1, cfg.q + 1) for a in indep]
-        if cfg.include_constant:
-            x.append(self._factor.shape[1] - 1)
-        return x, list(dep)
-
     def _screen(self, cfg: ModelConfig, k: int):
         """``(value, bound)`` from the factor, or None if it cannot tell.
 
@@ -253,7 +243,11 @@ class CrossProductEvaluator:
         """
         if self.kind is CriterionKind.HQC and self.effective_t <= math.e:
             return None
-        x, y = self._columns(cfg)
+        # X's columns of Z, the constant last, then Y's, at lag 0
+        lags, variables = _design_columns(cfg)
+        x = (lags * self.ds.n_vars + variables).tolist()
+        x += [self._factor.shape[1] - 1] * cfg.include_constant
+        y = list(cfg.dependent_indices)
         idx = x + y
         n = len(y)
         norms = self._norms[idx]

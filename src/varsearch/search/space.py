@@ -116,13 +116,15 @@ class SearchSpace:
             p=p, q=q, dependent_mask=tuple(mask), include_constant=self.include_constant
         )
 
+    def genome_at(self, index: int) -> tuple:
+        """The genome at ``index`` of the raw order: p outermost, mask innermost."""
+        p, rest = divmod(index, (self.q_max + 1) * self.mask_count)
+        q, mask_int = divmod(rest, self.mask_count)
+        return (p + 1, q, tuple((mask_int >> i) & 1 for i in range(self.n_bits)))
+
     def iter_genomes(self):
         """All genomes in (p, q, mask-integer) lexicographic order."""
-        for p in range(1, self.p_max + 1):
-            for q in range(self.q_max + 1):
-                for mask_int in range(self.mask_count):
-                    bits = tuple((mask_int >> i) & 1 for i in range(self.n_bits))
-                    yield (p, q, bits)
+        return map(self.genome_at, range(self.raw_size()))
 
     @staticmethod
     def genome_order_key(genome) -> tuple:
@@ -137,7 +139,7 @@ class SearchBudget:
 
     ``max_evaluations`` counts distinct candidates scored; repeat visits
     are served from a cache for free.  ``stagnation_limit`` stops a search
-    after that many evaluations and engine iterations that scored nothing
+    after that many evaluations and engine rounds that scored nothing
     without an improvement.  A configuration search also stops once it has
     scored every genome of the raw space.
     """

@@ -552,6 +552,36 @@ class TestCandidateScoring:
         assert perfect >= 2
         assert_same_as_qr(exhaustive_search, ds, space, kind)
 
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_near_duplicate_exogenous_columns_are_scored_by_qr(self, kind):
+        # z2 = z1 + delta v with v orthogonal, over the common rows, to the
+        # targets and the other design columns: pivoted QR calls the p = 1,
+        # q = 1 design rank deficient (delta ~ 9e-11 of the column norm),
+        # while the coefficients stay moderate enough for the screen's bound
+        # to accept its value, so only the condition test sends it to QR
+        rng = np.random.default_rng(0)
+        y = np.zeros(100)
+        noise = rng.normal(size=100)
+        for t in range(1, 100):
+            y[t] = 0.5 * y[t - 1] + noise[t]
+        z1 = rng.normal(size=100)
+        basis, _ = np.linalg.qr(np.column_stack([y[1:], y[:-1], z1[:-1], np.ones(99)]))
+        v = rng.normal(size=99)
+        for _ in range(2):
+            v -= basis @ (basis.T @ v)
+        z2 = z1.copy()
+        z2[:-1] += 9e-11 * np.linalg.norm(z1[:-1]) / np.linalg.norm(v) * v
+        ds = make_dataset(
+            np.column_stack([y, z1, z2]),
+            roles=(Role.DEPENDENT, Role.INDEPENDENT, Role.INDEPENDENT),
+        )
+        space = SearchSpace(p_max=1, q_max=1)
+        cfg = ModelConfig(p=1, q=1, dependent_mask=(True, False, False))
+        assert evaluate_config(ds, cfg, kind, space.common_row_start) == (math.inf, None)
+        evaluator = CrossProductEvaluator(ds, space, kind)
+        assert evaluator._screen(cfg, cfg.n_design_columns()) is None
+        assert_same_as_qr(exhaustive_search, ds, space, kind)
+
     def test_qr_value_inside_a_screened_interval_refits_it(self, monkeypatch):
         # the same configuration under two order keys: the second one's
         # interval meets the first, so QR scores it, and its QR value lies

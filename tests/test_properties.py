@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from varsearch import (
+    CoeffSearchParams,
     CriterionKind,
     EmptySpaceError,
     ModelConfig,
@@ -153,6 +154,60 @@ def test_engines_match_qr_only_search(problem):
     assert_same_as_qr(exhaustive_search, ds, space, kind)
     for search in ENGINES:
         assert_same_as_qr(search, ds, space, kind, budget)
+
+
+@st.composite
+def coefficient_problems(draw):
+    """A small configuration, its data, a criterion, a budget and GA settings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    n_dep = draw(st.integers(1, m))
+    p = draw(st.integers(1, 2))
+    q = draw(st.integers(0, 1)) if n_dep < m else 0
+    t = draw(st.integers(max(p, q) + 6, 40))
+    obs = _series(rng, t, m, draw(st.sampled_from(["var", "white", "random_walk"])))
+    roles = (Role.DEPENDENT,) * n_dep + (Role.INDEPENDENT,) * (m - n_dep)
+    ds = TimeSeriesDataset(obs, tuple(f"v{i}" for i in range(m)), roles)
+    cfg = ModelConfig(
+        p=p, q=q, dependent_mask=ds.base_mask, include_constant=draw(st.booleans())
+    )
+    kind = draw(st.sampled_from(list(CriterionKind)))
+    budget = SearchBudget(
+        draw(st.integers(1, 80)), draw(st.integers(1, 30)), draw(st.integers(0, 2**64 - 1))
+    )
+    params = CoeffSearchParams(population_size=draw(st.integers(2, 8)))
+    return ds, cfg, kind, budget, params
+
+
+def assert_trajectory_sound(trajectory, best_value, evaluations_used, budget):
+    """Improvements at rising evaluation indices, never worse, ending at the best."""
+    indices = [i for i, _ in trajectory]
+    values = [v for _, v in trajectory]
+    assert indices and 1 <= indices[0] and indices[-1] <= evaluations_used
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert values[-1] == best_value
+    assert evaluations_used <= budget.max_evaluations
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problems(), coefficient_problems())
+def test_trajectories_never_increase_in_either_space(problem, coefficient_problem):
+    ds, space, kind, budget = problem
+    for search in [exhaustive_search] + ENGINES:
+        result = _outcome(search, ds, space, kind, budget)
+        if not isinstance(result, VarsearchError):
+            assert_trajectory_sound(
+                result.trajectory, result.best_value, result.evaluations_used, budget
+            )
+    ds, cfg, kind, budget, params = coefficient_problem
+    for method in SearchMethod:
+        if method is SearchMethod.EXHAUSTIVE:
+            continue
+        outcome = search_coefficients_full(ds, cfg, kind, method, budget, params)
+        assert_trajectory_sound(
+            outcome.trajectory, outcome.value, outcome.evaluations_used, budget
+        )
 
 
 def _hostile_data(name):
