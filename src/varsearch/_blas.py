@@ -10,7 +10,7 @@ when that code raises.
 
 The setter is ``openblas_set_num_threads_local``, looked up on first use
 through the handles of ``numpy.linalg._umath_linalg`` and
-``scipy.linalg._flapack``: ``dlsym`` on an extension module searches the
+``_lapack.flapack`` (scipy's): ``dlsym`` on an extension module searches the
 libraries that module links, so each lookup finds that library's own
 OpenBLAS.  With the pthreads OpenBLAS builds (0.3.30 and 0.3.31) that the
 numpy 2.4 and scipy 1.17 wheels ship, the count it sets holds for every
@@ -40,10 +40,11 @@ _saved_counts = ()
 def _setters() -> tuple:
     """``openblas_set_num_threads_local`` of numpy's and of scipy's OpenBLAS."""
     from numpy.linalg import _umath_linalg
-    from scipy.linalg import _flapack
+
+    from ._lapack import flapack
 
     found = []
-    for module in (_umath_linalg, _flapack):
+    for module in (_umath_linalg, flapack):
         try:
             setter = ctypes.CDLL(module.__file__).openblas_set_num_threads_local
         except (OSError, AttributeError):

@@ -38,9 +38,9 @@ from .errors import VarsearchError
 from .model import CoefficientSet, ModelConfig, TimeSeriesDataset
 from .ols import (
     _criterion_map,
+    _fit_system,
     _residual_log_det,
     _y_norm,
-    fit,
     solve_least_squares,
     unflatten_coefficients,
 )
@@ -149,8 +149,8 @@ class CoeffSearchOutcome:
     method: str = ""
     criterion: str = ""
     config: ModelConfig = None
-    # the searched regression system; compare_with_ols scores the search's
-    # coefficients under every criterion on it
+    # the searched regression system; compare_with_ols fits least squares
+    # and scores the search's coefficients under every criterion on it
     _problem: object = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -413,13 +413,15 @@ def compare_with_ols(
 ) -> ComparisonReport:
     """Search coefficient space and report the gap to least squares.
 
-    Both sides are scored on the same regression sample with the same
-    parameter count, and ``fit`` scores its residuals with the function the
-    search scores with, so the gap isolates optimizer quality.
+    Both sides are scored on the search's regression system, built once,
+    with the same parameter count, and ``fit`` scores its residuals with the
+    function the search scores with, so the gap isolates optimizer quality.
+    As least squares is fitted after the search, a configuration it cannot
+    fit (rank deficient, or T' <= K) raises once the search has run.
     """
-    ols_fit = fit(ds, cfg)
     outcome = search_coefficients_full(ds, cfg, kind, method, budget, params)
     problem = outcome._problem
+    ols_fit = _fit_system(ds, problem.system)
     theta_ols = ols_fit.coefficients.flatten().reshape(-1)
     ols_value = ols_fit.criterion(kind)
     search_value = outcome.value

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from ._blas import one_blas_thread
+from ._lapack import qr_pivoted, solve_upper
 from .criteria import CriterionKind, criterion_from_log_det, log_det_cov
 from .design import RegressionSystem, build_regression_system
 from .errors import (
@@ -69,7 +69,7 @@ def solve_least_squares(sys: RegressionSystem) -> np.ndarray:
         raise ValidationError(
             [f"need T' > K for a determined system, got T'={x.shape[0]}, K={x.shape[1]}"]
         )
-    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+    q, r, piv = qr_pivoted(x)
     # ||x_piv[j]|| = ||R[:, j]||, taken on R scaled per column so that no
     # square overflows or underflows; a zero column gives 0 / 0, which fails
     with np.errstate(invalid="ignore"):
@@ -79,7 +79,7 @@ def solve_least_squares(sys: RegressionSystem) -> np.ndarray:
     if rank < x.shape[1]:
         raise RankDeficientError(rank, x.shape[1])
     z = q.T @ y
-    theta_pivoted = scipy.linalg.solve_triangular(r, z, lower=False)
+    theta_pivoted = solve_upper(r, z)
     theta = np.empty_like(theta_pivoted)
     theta[piv] = theta_pivoted
     return theta
@@ -185,7 +185,12 @@ def fit(ds: TimeSeriesDataset, cfg: ModelConfig, row_start=None) -> FitResult:
     NumericOverflowError
         When ||Y||, ||E|| or the residual covariance is not finite.
     """
-    sys = build_regression_system(ds, cfg, row_start=row_start)
+    return _fit_system(ds, build_regression_system(ds, cfg, row_start=row_start))
+
+
+def _fit_system(ds: TimeSeriesDataset, sys: RegressionSystem) -> FitResult:
+    """``fit`` on a regression system already built."""
+    cfg = sys.config
     y_norm = _y_norm(sys)
     theta = solve_least_squares(sys)
     residuals, sigma, log_det = _residual_log_det(sys, theta, y_norm)

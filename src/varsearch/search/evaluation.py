@@ -16,8 +16,8 @@ import bisect
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
+from .._lapack import flapack as lapack
 from ..criteria import CriterionKind, criterion_from_log_det
 from ..design import _design_columns, _lag_window
 from ..errors import NumericOverflowError, RankDeficientError, ValidationError

@@ -11,8 +11,10 @@ from varsearch import (
     CriterionKind,
     GeneratorSpec,
     ModelConfig,
+    RankDeficientError,
     SearchBudget,
     SearchMethod,
+    ValidationError,
     VarsearchError,
     coefficient_fitness,
     compare_with_ols,
@@ -23,7 +25,7 @@ from varsearch import (
     search_coefficients_full,
 )
 
-from varsearch import coeffsearch
+from varsearch import coeffsearch, ols
 
 from .conftest import make_dataset, noisy_dataset
 
@@ -351,3 +353,54 @@ class TestCompareWithOls:
             assert set(report.per_criterion[side]) == {"aic", "bic", "hqc"}
         assert report.per_criterion["ols"]["bic"] == report.ols_value
         assert report.coefficient_distance >= 0.0
+
+    def test_builds_one_system_and_matches_fit_and_search(self, monkeypatch):
+        # both sides score on the search's regression system; each answer is
+        # what fit and search_coefficients_full give when called on their own
+        ds = noisy_dataset(seed=9, n=3, p=2, t=300, noise=0.5)
+        cfg = ModelConfig(p=2, q=0, dependent_mask=(True, True, True))
+        budget = SearchBudget(120, master_seed=4)
+        builds = []
+        build = coeffsearch.build_regression_system
+
+        def spy(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(coeffsearch, "build_regression_system", spy)
+            patch.setattr(ols, "build_regression_system", spy)
+            report = compare_with_ols(ds, cfg, CriterionKind.HQC, SearchMethod.GA, budget)
+        assert len(builds) == 1
+        ols_fit = fit(ds, cfg)
+        outcome = search_coefficients_full(
+            ds, cfg, CriterionKind.HQC, SearchMethod.GA, budget
+        )
+        assert report.ols_value == ols_fit.criterion(CriterionKind.HQC)
+        assert report.per_criterion["ols"] == {
+            kind.value: value for kind, value in ols_fit.criterion_values.items()
+        }
+        assert report.ols_coefficients.flatten().tobytes() == (
+            ols_fit.coefficients.flatten().tobytes()
+        )
+        assert report.search_value == outcome.value
+        assert report.search_coefficients.flatten().tobytes() == (
+            outcome.coefficients.flatten().tobytes()
+        )
+        assert report.evaluations_used == outcome.evaluations_used
+        assert report.effective_t == ols_fit.effective_t
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [(np.zeros((30, 2)), RankDeficientError), (np.eye(5, 2), ValidationError)],
+    )
+    def test_raises_what_fit_raises(self, values, error):
+        # least squares is fitted after the search, on the search's system
+        ds = make_dataset(values)
+        cfg = ModelConfig(p=2, q=0, dependent_mask=(True, True))
+        with pytest.raises(error):
+            fit(ds, cfg)
+        with pytest.raises(error):
+            compare_with_ols(
+                ds, cfg, CriterionKind.AIC, SearchMethod.GA, SearchBudget(30, master_seed=1)
+            )
