@@ -139,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--search-partition",
         action="append",
         metavar="NAME",
-        help="column whose dependent/independent role is searched (repeatable)",
+        help="column whose dependent/independent role is searched (repeatable); "
+        "candidates with different numbers of dependent columns compare ln det "
+        "of different sizes, so the winner can depend on the units of the data",
     )
     p_sel.add_argument("--no-constant", action="store_true")
     _add_budget_flags(p_sel, budget_required=False)

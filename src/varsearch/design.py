@@ -57,12 +57,13 @@ def _lag_window(obs: np.ndarray, start: int, max_lag: int) -> np.ndarray:
     return as_strided(obs[start:], shape, (row, -row, col), writeable=False)
 
 
-def _design_columns(cfg: ModelConfig):
-    """``(lags, variables)`` of the columns of X before the constant, in order."""
+def _window_columns(cfg: ModelConfig, n_vars: int):
+    """Columns of X before the constant, in order, and of Y in a flattened
+    lag-window row, which holds (lag, variable) in column lag * n_vars + variable."""
     dep, indep = cfg.dependent_indices, cfg.independent_indices
-    lags = [*range(1, cfg.p + 1), *range(1, cfg.q + 1)]
-    widths = [len(dep)] * cfg.p + [len(indep)] * cfg.q
-    return np.repeat(lags, widths), np.array(dep * cfg.p + indep * cfg.q)
+    x = [lag * n_vars + v for lag in range(1, cfg.p + 1) for v in dep]
+    x += [lag * n_vars + v for lag in range(1, cfg.q + 1) for v in indep]
+    return x, list(dep)
 
 
 def build_regression_system(
@@ -91,7 +92,7 @@ def build_regression_system(
         raise ValidationError(violations)
     start = cfg.row_start if row_start is None else row_start
     window = _lag_window(ds.observations, start, start)
-    lags, variables = _design_columns(cfg)
+    lags, variables = np.divmod(_window_columns(cfg, ds.n_vars)[0], ds.n_vars)
     # the layout stacking the lag blocks gave, which the products' last bits
     # depend on: C order when every block is one column, else Fortran order
     order = "C" if lags.size == cfg.p + cfg.q else "F"

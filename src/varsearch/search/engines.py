@@ -367,16 +367,18 @@ class _SearchRun(_Run):
         return self.key_of(genome)
 
     def evaluate_batch(self, genomes) -> None:
-        """Score the uncached genomes one at a time, in batch order.
+        """Screen the uncached genomes at once, then score them one at a time.
 
         A stop (budget, stagnation or exhausted space) ends the batch at
         once, so no candidate is scored that the search does not record.
         """
+        fresh = {}
         for genome in genomes:
             order = self.space.genome_order_key(genome)
-            if order in self.cache:
-                continue
-            cfg = self.space.config_from_genome(genome, self.ds)
+            if order not in self.cache and order not in fresh:
+                fresh[order] = genome, self.space.config_from_genome(genome, self.ds)
+        self.evaluator.screen_batch((order, cfg) for order, (_, cfg) in fresh.items())
+        for order, (genome, cfg) in fresh.items():
             best = self.best_key[0] if self.best_key is not None else None
             value, n_params, fit_result = self.evaluator.evaluate(cfg, order, best)
             self.candidate_log.append((cfg, value))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .._lapack import flapack as lapack
 from ..criteria import CriterionKind, criterion_from_log_det
-from ..design import _design_columns, _lag_window
+from ..design import _lag_window, _window_columns
 from ..errors import NumericOverflowError, RankDeficientError, ValidationError
 from ..model import ModelConfig, TimeSeriesDataset, structural_violations
 from ..ols import RANK_RTOL, fit
@@ -132,6 +132,8 @@ class CrossProductEvaluator:
     A candidate then costs one Householder QR of its (K+n)-column slice of
     R, which gives R_xx, R_xy and R_yy with E'E = R_yy'R_yy, so
     ln det(E'E) = 2 sum ln |diag(R_yy)| whatever the sample size.
+    ``screen_batch`` screens a batch at once, bounds and ln det stacked over
+    equal n, and ``evaluate`` then decides its candidates one at a time.
 
     Householder QR is backward stable column by column, so each screened
     value carries a bound on its distance from the QR value of
@@ -165,7 +167,7 @@ class CrossProductEvaluator:
         self.values = {}
         self.qr_fits = 0
         self._intervals = _Intervals()
-        self._factor = None
+        self._screens = {}
         if self.effective_t >= 1:
             self._build(ds.observations, min(self.row_start, self.effective_t - 1))
 
@@ -188,10 +190,21 @@ class CrossProductEvaluator:
             lagged[:rows] = window[r0 : r0 + rows]
             qr = lapack.dgeqrf(np.vstack([factor, block[:rows]]))[0]
             factor = np.triu(qr[:width])
-        self._factor = factor
-        # entries that overflow make their candidates fall back to QR
-        with np.errstate(over="ignore"):
+        self._columns = np.ascontiguousarray(factor.T)  # row j: column j of R
+        # overflowing entries send their candidates to QR, non-finite ones by a nan norm
+        with np.errstate(over="ignore", invalid="ignore"):
             self._norms = np.linalg.norm(factor, axis=0)
+        self._norms[~np.isfinite(factor).all(axis=0)] = math.nan
+
+    def screen_batch(self, batch) -> None:
+        """Screen the fresh candidates ``(order, cfg)`` of one batch at once."""
+        widths = {}  # order -> (cfg, K), K None where least squares cannot fit
+        for order, cfg in batch:
+            k = cfg.n_design_columns()
+            invalid = structural_violations(cfg, self.ds, row_start=self.row_start)
+            widths[order] = cfg, None if invalid or self.effective_t <= k else k
+        screens = zip(widths.items(), self._screen_all(list(widths.values())))
+        self._screens = {order: (k, screen) for (order, (_, k)), screen in screens}
 
     def evaluate(self, cfg: ModelConfig, order, best_value):
         """Score one fresh candidate; ``best_value`` is None before any.
@@ -199,15 +212,13 @@ class CrossProductEvaluator:
         Returns ``(value, n_params, fit_result)``; ``fit_result`` is the
         QR fit when QR scored the candidate, else None.
         """
-        k = cfg.n_design_columns()
-        if (
-            structural_violations(cfg, self.ds, row_start=self.row_start)
-            or self.effective_t <= k
-        ):
+        if order not in self._screens:
+            self.screen_batch([(order, cfg)])
+        k, screened = self._screens.pop(order)
+        if k is None:
             self.values[order] = (math.inf, math.inf)
             return math.inf, math.inf, None
-        screened = self._screen(cfg, k) if best_value is not None else None
-        if screened is not None:
+        if screened is not None and best_value is not None:
             value, bound = screened
             low, high = value - bound, value + bound
             if low > best_value and not self._intervals.meets(low, high):
@@ -241,53 +252,67 @@ class CrossProductEvaluator:
         rounding of E'E in the QR value is added, the sum is multiplied by
         ``_SAFETY``, and the rounding of the criterion itself is added last.
         """
-        if self.kind is CriterionKind.HQC and self.effective_t <= math.e:
-            return None
-        # X's columns of Z, the constant last, then Y's, at lag 0
-        lags, variables = _design_columns(cfg)
-        x = (lags * self.ds.n_vars + variables).tolist()
-        x += [self._factor.shape[1] - 1] * cfg.include_constant
-        y = list(cfg.dependent_indices)
-        idx = x + y
-        n = len(y)
-        norms = self._norms[idx]
-        if not np.all(norms > 0.0):
-            return None
-        # R is upper triangular, so rows past the last selected column are zero
-        block = self._factor[: max(idx) + 1, idx]
-        if block.shape[0] < k + n or not np.all(np.isfinite(block)):
-            return None
-        r = np.triu(lapack.dgeqrf(block)[0][: k + n])
-        r_xx, r_xy, r_yy = r[:k, :k], r[:k, k:], r[k:, k:]
-        # QR flags rank when a pivoted diagonal falls below RANK_RTOL times
-        # its column's norm, and every such ratio is at least
-        # 1 / cond_2(X D^-1) >= 1 / (K cond_1(R D^-1)), D the column norms
-        rcond, _ = lapack.dtrcon(r_xx / np.linalg.norm(r_xx, axis=0))
-        if not rcond > 10.0 * k * RANK_RTOL:
-            return None
-        x_norm, y_norm = norms[:k], norms[k:]
-        coef, _ = lapack.dtrtrs(r_xx, r_xy)
-        r_yy_inv, info = lapack.dtrtri(r_yy)
-        if info != 0:
-            return None
-        width = self._factor.shape[1]  # W
-        with np.errstate(over="ignore", invalid="ignore"):
-            sensitivity = float(
-                np.linalg.norm(r_yy_inv, axis=1) @ (y_norm + x_norm @ np.abs(coef))
+        return self._screen_all([(cfg, k)])[0]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _screen_all(self, candidates) -> list:
+        """``_screen`` of each ``(cfg, k)``, None where k is None: the LAPACK
+        calls per candidate, the bound and ln det stacked over equal n."""
+        if len(candidates) > 1024:  # bounds the factors held at once
+            half = len(candidates) // 2
+            head, tail = candidates[:half], candidates[half:]
+            return self._screen_all(head) + self._screen_all(tail)
+        screens = [None] * len(candidates)
+        hqc_undefined = self.kind is CriterionKind.HQC and self.effective_t <= math.e
+        if hqc_undefined or all(k is None for _, k in candidates):
+            return screens  # no factor is built when T' < 1, where none fits
+        t, width = self.effective_t, self._columns.shape[0]  # T', W
+        groups = {}  # n -> [(index, k, R_yy, R_yy^-1, ||y_i|| + sum_j ||x_j|| |B_ji|)]
+        for index, (cfg, k) in enumerate(candidates):
+            if k is None:
+                continue
+            # X's columns of Z, the constant last, then Y's, at lag 0
+            x, y = _window_columns(cfg, self.ds.n_vars)
+            idx, n = x + [width - 1] * cfg.include_constant + y, len(y)
+            norms = self._norms[idx]
+            # R is upper triangular, so rows past the last selected column are zero
+            block = self._columns[idx, : max(idx) + 1].T
+            if not (norms > 0.0).all() or block.shape[0] < k + n:
+                continue
+            # LAPACK reads only the upper triangle of each factor below
+            qr = lapack.dgeqrf(block, overwrite_a=1)[0]
+            r_xx, r_xy = qr[:k, :k], qr[:k, k : k + n]
+            r_yy = qr[k : k + n, k : k + n].copy()  # so that no group keeps qr
+            # QR flags rank when a pivoted diagonal falls below RANK_RTOL times
+            # its column's norm, and every such ratio is at least
+            # 1 / cond_2(X D^-1) >= 1 / (K cond_1(R D^-1)), D the column norms
+            rcond, _ = lapack.dtrcon(r_xx / norms[:k])
+            if not rcond > 10.0 * k * RANK_RTOL:
+                continue
+            coef, _ = lapack.dtrtrs(r_xx, r_xy)
+            r_yy_inv, info = lapack.dtrtri(r_yy)
+            if info == 0:
+                weights = norms[k:] + norms[:k] @ np.abs(coef)
+                groups.setdefault(n, []).append((index, k, r_yy, r_yy_inv, weights))
+        for n, group in groups.items():
+            indices, ks, r_yy, r_yy_inv, weights = zip(*group)
+            r_yy, r_yy_inv = np.triu(np.stack(r_yy)), np.triu(np.stack(r_yy_inv))
+            sensitivity = np.sum(np.linalg.norm(r_yy_inv, axis=2) * weights, axis=1)
+            v = np.linalg.norm(r_yy, axis=1)[:, :, None] * r_yy_inv
+            v_norm = np.linalg.norm(v @ np.swapaxes(v, 1, 2), axis=(1, 2))
+            bounds = _SAFETY * _UNIT * (
+                2.0 * math.sqrt(t + width) * sensitivity + math.sqrt(t) * v_norm
             )
-            v = np.linalg.norm(r_yy, axis=0)[:, None] * r_yy_inv
-            bound = _SAFETY * _UNIT * (
-                2.0 * math.sqrt(self.effective_t + width) * sensitivity
-                + math.sqrt(self.effective_t) * float(np.linalg.norm(v @ v.T))
-            )
-        # This test also sends every perfect fit to QR: row i of R_yy^-1
-        # holds 1 / |r_ii| >= 1 / ||R_yy||_F, so S >= ||Y||_F / ||R_yy||_F,
-        # and ||R_yy||_F <= 2 DEGENERATE_RTOL ||Y||_F, twice QR's snap
-        # threshold, gives S >= 5e11 and a bound above 1e-3.
-        if not bound <= VALUE_TOLERANCE:
-            return None
-        log_det = 2.0 * float(np.sum(np.log(np.abs(np.diag(r_yy))))) - n * math.log(
-            self.effective_t
-        )
-        value = criterion_from_log_det(self.kind, log_det, n * k, self.effective_t)
-        return value, bound + 8.0 * _UNIT * (abs(value) + abs(log_det) + n)
+            diagonals = np.abs(np.diagonal(r_yy, axis1=1, axis2=2))
+            log_dets = 2.0 * np.sum(np.log(diagonals), axis=1) - n * math.log(t)
+            rows = zip(indices, ks, bounds.tolist(), log_dets.tolist())
+            for index, k, bound, log_det in rows:
+                # This test also sends every perfect fit to QR: row i of R_yy^-1
+                # holds 1 / |r_ii| >= 1 / ||R_yy||_F, so S >= ||Y||_F / ||R_yy||_F,
+                # and ||R_yy||_F <= 2 DEGENERATE_RTOL ||Y||_F, twice QR's snap
+                # threshold, gives S >= 5e11 and a bound above 1e-3.
+                if bound <= VALUE_TOLERANCE:
+                    value = criterion_from_log_det(self.kind, log_det, n * k, t)
+                    margin = 8.0 * _UNIT * (abs(value) + abs(log_det) + n)
+                    screens[index] = value, bound + margin
+        return screens

@@ -18,6 +18,7 @@ from varsearch import (
     SearchBudget,
     SearchSpace,
     TabuParams,
+    TimeSeriesDataset,
     TooLargeError,
     derive_candidate_seed,
     enumerate_space,
@@ -491,6 +492,48 @@ class TestCandidateScoring:
         bad = ModelConfig(p=9, q=0, dependent_mask=(True,))  # leaves T' < K + 1
         assert evaluate_config(ds, bad, CriterionKind.AIC) == (math.inf, None)
 
+    @pytest.mark.parametrize("problem", [small_space_problem, random_walk_problem])
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_batch_screens_decide_as_single_screens(self, problem, kind):
+        # one evaluator screens the whole space as one batch, the other
+        # each candidate alone as it is evaluated; both make every decision
+        ds, space = problem()
+        configs = list(enumerate(enumerate_space(space, ds)))
+        batched = CrossProductEvaluator(ds, space, kind)
+        single = CrossProductEvaluator(ds, space, kind)
+        batched.screen_batch(configs)
+        screens = dict(batched._screens)
+        best, decisions = None, []
+        for order, cfg in configs:
+            k = cfg.n_design_columns()
+            assert screens[order] == (k, single._screen(cfg, k))
+            got = batched.evaluate(cfg, order, best)
+            want = single.evaluate(cfg, order, best)
+            assert got[:2] == want[:2]
+            assert (got[2] is None) == (want[2] is None)
+            decisions.append(got[2] is None)
+            if best is None or got[0] < best:
+                best = got[0]
+        assert batched.values == single.values
+        assert batched.qr_fits == single.qr_fits
+        assert any(decisions) and not all(decisions)
+
+    def test_a_batch_of_over_1024_candidates_is_screened_in_parts(self):
+        ds, space = small_space_problem()
+        evaluator = CrossProductEvaluator(ds, space, CriterionKind.AIC)
+        candidates = [(cfg, cfg.n_design_columns()) for cfg in enumerate_space(space, ds)]
+        singles = [evaluator._screen(cfg, k) for cfg, k in candidates]
+        assert len(candidates) * 16 > 1024
+        assert evaluator._screen_all(candidates * 16) == singles * 16
+
+    def test_search_on_too_few_rows_matches_qr_only(self):
+        # T' < 1: no factor is built and no candidate fits, so the batch
+        # screens nothing and every engine finds no valid configuration
+        ds = make_dataset(np.random.default_rng(0).normal(size=(4, 2)))
+        space = SearchSpace(p_max=5)
+        for engine in METAHEURISTICS:
+            assert_same_as_qr(engine, ds, space, CriterionKind.AIC, SearchBudget(10))
+
     @pytest.mark.parametrize("kind", list(CriterionKind))
     def test_screened_values_within_tolerance_of_qr(self, kind):
         ds, space = small_space_problem()
@@ -503,6 +546,25 @@ class TestCandidateScoring:
                 screened += 1
                 assert abs(got[0] - want) <= min(got[1], 1e-9)
         assert screened > 0
+
+    def test_search_partition_values_shift_with_the_units(self):
+        # candidates of a SEARCH partition differ in n, and ln det of an
+        # n x n residual covariance moves by n ln s^2 when the data are
+        # scaled by s, so a change of units can change the winner
+        ds, space = small_space_problem()
+        scaled = TimeSeriesDataset(
+            observations=ds.observations * 1e-8, names=ds.names, roles=ds.roles
+        )
+        sizes = set()
+        for cfg in enumerate_space(space, ds):
+            value, _ = evaluate_config(ds, cfg, CriterionKind.BIC, space.common_row_start)
+            moved, _ = evaluate_config(
+                scaled, cfg, CriterionKind.BIC, space.common_row_start
+            )
+            shift = cfg.n_dependent * math.log(1e-16)
+            assert abs(moved - value - shift) <= 1e-9
+            sizes.add(cfg.n_dependent)
+        assert sizes == {2, 3, 4}
 
     def test_intervals_meet_through_the_left_neighbour(self):
         intervals = evaluation._Intervals()
@@ -664,18 +726,22 @@ class TestCandidateScoring:
     )
     def test_scored_candidates_equal_evaluations_used(self, monkeypatch, budget, stop):
         # a GA generation is one batch of 20 genomes; either limit stops
-        # the search inside a batch
+        # the search inside a batch, whose screens past the stop are dropped
         ds, space = small_space_problem()
         scored = []
+        evaluators = set()
         original = CrossProductEvaluator.evaluate
 
         def counting(self, cfg, order, best_value):
             scored.append(order)
+            evaluators.add(self)
             return original(self, cfg, order, best_value)
 
         monkeypatch.setattr(CrossProductEvaluator, "evaluate", counting)
         result = ga_search(ds, space, CriterionKind.AIC, budget)
         assert len(scored) == len(set(scored)) == result.evaluations_used
+        (evaluator,) = evaluators
+        assert set(evaluator.values) == set(scored)
         if stop == "budget":
             assert result.evaluations_used == budget.max_evaluations
         else:

@@ -62,6 +62,9 @@ class QROnlyEvaluator:
             for cfg in configs
         }
 
+    def screen_batch(self, batch):
+        """Nothing to screen: every candidate is read from the table."""
+
     def evaluate(self, cfg, order, best_value):
         value, fit_result = self.table.get(cfg, (math.inf, None))
         n_params = fit_result.n_params if fit_result is not None else math.inf
