@@ -58,7 +58,9 @@ flapack = _load()
 
 def _workspace_call(routine, *args, **kwargs):
     """Call a LAPACK routine after asking it for its optimal workspace."""
-    lwork = routine(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
+    # the query returns before it touches the matrix, so it needs no copy of it
+    query = routine(*args, lwork=-1, **{**kwargs, "overwrite_a": 1})
+    lwork = query[-2][0].real.astype(np.int_)
     result = routine(*args, lwork=lwork, **kwargs)
     if result[-1] < 0:
         raise ValueError(f"illegal value in {-result[-1]}th argument of internal LAPACK")

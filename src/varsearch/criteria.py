@@ -71,7 +71,15 @@ def log_det_cov(sigma: np.ndarray) -> float:
     scale = np.abs(sigma).max()
     if not np.allclose(sigma, sigma.T, rtol=0.0, atol=_SYMMETRY_RTOL * max(scale, 1.0)):
         raise ValueError("sigma is not symmetric within tolerance")
-    sym = 0.5 * (sigma + sigma.T)
+    return _log_det_symmetric(0.5 * (sigma + sigma.T))
+
+
+def _log_det_symmetric(sym: np.ndarray) -> float:
+    """``log_det_cov`` of a finite, exactly symmetric matrix, unchecked.
+
+    The one place that decides when a covariance is singular: a rule for
+    that, such as a scale-free one, belongs here, not in the callers.
+    """
     try:
         chol = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:

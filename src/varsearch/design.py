@@ -92,12 +92,15 @@ def build_regression_system(
         raise ValidationError(violations)
     start = cfg.row_start if row_start is None else row_start
     window = _lag_window(ds.observations, start, start)
-    lags, variables = np.divmod(_window_columns(cfg, ds.n_vars)[0], ds.n_vars)
+    columns, deps = _window_columns(cfg, ds.n_vars)
     # the layout stacking the lag blocks gave, which the products' last bits
     # depend on: C order when every block is one column, else Fortran order
-    order = "C" if lags.size == cfg.p + cfg.q else "F"
+    order = "C" if len(columns) == cfg.p + cfg.q else "F"
     x = np.empty((window.shape[0], cfg.n_design_columns()), order=order)
-    x[:, : lags.size] = window[:, lags, variables]
-    x[:, lags.size :] = 1.0
-    y = window[:, 0, list(cfg.dependent_indices)].copy()
+    y = np.empty((window.shape[0], len(deps)))
+    for out, cols in ((x, columns), (y, deps)):
+        for j, column in enumerate(cols):
+            lag, variable = divmod(column, ds.n_vars)
+            out[:, j] = window[:, lag, variable]  # a basic slice, nothing gathered
+    x[:, len(columns) :] = 1.0
     return RegressionSystem(y=y, x=x, config=cfg, row_start=start)

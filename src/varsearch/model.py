@@ -55,7 +55,8 @@ class TimeSeriesDataset:
     names : sequence of str
         Unique, nonempty variable labels, one per column.
     roles : sequence of Role
-        Default dependent/independent partition, one per column.
+        Default dependent/independent partition, one per column; the mask
+        it implies is ``base_mask``.
     """
 
     observations: np.ndarray
@@ -89,6 +90,7 @@ class TimeSeriesDataset:
         object.__setattr__(self, "observations", _frozen_array(obs))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "roles", roles)
+        object.__setattr__(self, "base_mask", tuple(r is Role.DEPENDENT for r in roles))
 
     @property
     def n_obs(self) -> int:
@@ -98,11 +100,6 @@ class TimeSeriesDataset:
     def n_vars(self) -> int:
         return self.observations.shape[1]
 
-    @property
-    def base_mask(self) -> tuple:
-        """Dependent mask implied by the dataset roles."""
-        return tuple(r is Role.DEPENDENT for r in self.roles)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -110,7 +107,9 @@ class ModelConfig:
 
     ``p`` is the endogenous lag order, ``q`` the exogenous lag order,
     ``dependent_mask`` selects which dataset columns the model explains and
-    ``include_constant`` toggles the trailing intercept column.
+    ``include_constant`` toggles the trailing intercept column.  The column
+    indices the mask selects and leaves, ``dependent_indices`` and
+    ``independent_indices``, are derived once.
     """
 
     p: int
@@ -119,7 +118,12 @@ class ModelConfig:
     include_constant: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "dependent_mask", tuple(bool(b) for b in self.dependent_mask))
+        mask = tuple(bool(b) for b in self.dependent_mask)
+        object.__setattr__(self, "dependent_mask", mask)
+        dependent = tuple(i for i, b in enumerate(mask) if b)
+        independent = tuple(i for i, b in enumerate(mask) if not b)
+        object.__setattr__(self, "dependent_indices", dependent)
+        object.__setattr__(self, "independent_indices", independent)
 
     @property
     def row_start(self) -> int:
@@ -128,15 +132,7 @@ class ModelConfig:
 
     @property
     def n_dependent(self) -> int:
-        return sum(self.dependent_mask)
-
-    @property
-    def dependent_indices(self) -> tuple:
-        return tuple(i for i, b in enumerate(self.dependent_mask) if b)
-
-    @property
-    def independent_indices(self) -> tuple:
-        return tuple(i for i, b in enumerate(self.dependent_mask) if not b)
+        return len(self.dependent_indices)
 
     def n_independent_used(self) -> int:
         """Independent columns that actually enter the design (0 when q=0)."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from ._lapack import qr_pivoted, solve_upper
-from .criteria import CriterionKind, criterion_from_log_det, log_det_cov
+from .criteria import CriterionKind, _log_det_symmetric, criterion_from_log_det
 from .design import RegressionSystem, build_regression_system
 from .errors import (
     HQCUndefinedError,
@@ -153,7 +153,8 @@ def _residual_log_det(sys: RegressionSystem, theta: np.ndarray, y_norm: float):
         return residuals, sigma, math.inf
     if resid_norm <= DEGENERATE_RTOL * y_norm:
         return residuals, sigma, -math.inf
-    return residuals, sigma, log_det_cov(sigma)
+    # residual_covariance made sigma exactly symmetric, and it is finite here
+    return residuals, sigma, _log_det_symmetric(sigma)
 
 
 def _criterion_map(log_det: float, n_params: int, effective_t: int) -> dict:

@@ -376,13 +376,17 @@ class _SearchRun(_Run):
         for genome in genomes:
             order = self.space.genome_order_key(genome)
             if order not in self.cache and order not in fresh:
-                fresh[order] = genome, self.space.config_from_genome(genome, self.ds)
-        self.evaluator.screen_batch((order, cfg) for order, (_, cfg) in fresh.items())
-        for order, (genome, cfg) in fresh.items():
+                fresh[order] = self.space.config_from_genome(genome, self.ds)
+        self.evaluate_configs(fresh)
+
+    def evaluate_configs(self, fresh) -> None:
+        """``evaluate_batch`` of the uncached configurations ``{order: cfg}``."""
+        self.evaluator.screen_batch(fresh.items())
+        for order, cfg in fresh.items():
             best = self.best_key[0] if self.best_key is not None else None
             value, n_params, fit_result = self.evaluator.evaluate(cfg, order, best)
             self.candidate_log.append((cfg, value))
-            self.record(value, (value, n_params, order), (genome, fit_result))
+            self.record(value, (value, n_params, order), fit_result)
 
     def score(self, genomes) -> list:
         self.evaluate_batch(genomes)
@@ -473,16 +477,16 @@ class _SearchRun(_Run):
         return start, dimensions + [set_bit(i) for i in range(space.n_bits)]
 
     def finalize(self, method: str) -> SearchResult:
-        if self.best is None:
+        if self.best_key is None:
             raise EmptySpaceError("no candidate could be evaluated")
-        genome, best_fit = self.best
+        best_fit = self.best
         if best_fit is None:
             raise EmptySpaceError(
                 "no valid configuration found within the evaluation budget"
             )
         skipped = sum(1 for _, v in self.candidate_log if math.isinf(v) and v > 0)
         return SearchResult(
-            best_config=self.space.config_from_genome(genome, self.ds),
+            best_config=best_fit.config,
             best_fit=best_fit,
             best_value=self.best_key[0],
             evaluations_used=self.evaluations_used,
@@ -529,9 +533,9 @@ def exhaustive_search(
         stagnation_limit=len(configs) + 1,
         master_seed=budget.master_seed if budget else 0,
     )
-    genomes = [space.genome_for(cfg) for cfg in configs]
+    fresh = {space.genome_order_key(space.genome_for(cfg)): cfg for cfg in configs}
     run = _SearchRun(ds, space, kind, budget)
-    return run.drive(lambda run: run.evaluate_batch(genomes)).finalize("exhaustive")
+    return run.drive(lambda run: run.evaluate_configs(fresh)).finalize("exhaustive")
 
 
 @one_blas_thread()

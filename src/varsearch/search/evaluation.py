@@ -180,15 +180,18 @@ class CrossProductEvaluator:
         and the column norms of Z are those of R.
         """
         window = _lag_window(obs, self.row_start, max_lag)
-        width = window[0].size + 1
-        factor = np.empty((0, width))
-        block = np.empty((_CHUNK, width))
-        block[:, -1] = 1.0
-        lagged = block[:, :-1].reshape(_CHUNK, *window.shape[1:])  # a view of block
+        m, width = obs.shape[1], window[0].size + 1
+        factor = stack = np.empty((0, width))
         for r0 in range(0, len(window), _CHUNK):
-            rows = min(_CHUNK, len(window) - r0)
-            lagged[:rows] = window[r0 : r0 + rows]
-            qr = lapack.dgeqrf(np.vstack([factor, block[:rows]]))[0]
+            rows, top = min(_CHUNK, len(window) - r0), len(factor)
+            if len(stack) != top + rows:
+                # LAPACK's own layout, so that dgeqrf factors it in place
+                stack = np.empty((top + rows, width), order="F")
+            stack[:top] = factor
+            for lag in range(max_lag + 1):
+                stack[top:, lag * m : (lag + 1) * m] = window[r0 : r0 + rows, lag]
+            stack[top:, -1] = 1.0
+            qr = lapack.dgeqrf(stack, overwrite_a=1)[0]
             factor = np.triu(qr[:width])
         self._columns = np.ascontiguousarray(factor.T)  # row j: column j of R
         # overflowing entries send their candidates to QR, non-finite ones by a nan norm
@@ -273,11 +276,12 @@ class CrossProductEvaluator:
                 continue
             # X's columns of Z, the constant last, then Y's, at lag 0
             x, y = _window_columns(cfg, self.ds.n_vars)
-            idx, n = x + [width - 1] * cfg.include_constant + y, len(y)
+            columns, n = x + [width - 1] * cfg.include_constant + y, len(y)
+            idx = np.array(columns, dtype=np.intp)
             norms = self._norms[idx]
             # R is upper triangular, so rows past the last selected column are zero
-            block = self._columns[idx, : max(idx) + 1].T
-            if not (norms > 0.0).all() or block.shape[0] < k + n:
+            block = self._columns[idx, : max(columns) + 1].T
+            if not norms.min() > 0.0 or block.shape[0] < k + n:  # a nan norm fails
                 continue
             # LAPACK reads only the upper triangle of each factor below
             qr = lapack.dgeqrf(block, overwrite_a=1)[0]

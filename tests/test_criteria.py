@@ -12,6 +12,7 @@ from varsearch import (
     log_det_cov,
     penalty_weight,
 )
+from varsearch import criteria
 
 
 class TestLogDetCov:
@@ -34,9 +35,34 @@ class TestLogDetCov:
         with pytest.raises(ValueError):
             log_det_cov(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_non_finite_input_raises(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
         with pytest.raises(ValueError):
-            log_det_cov(np.array([[np.nan]]))
+            log_det_cov(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_unchecked_form_gives_the_same_bits(self):
+        # the fit scores through _log_det_symmetric on the Sigma it has
+        # already symmetrised and checked as finite
+        rng = np.random.default_rng(12)
+        paths = {"cholesky": 0, "eigenvalues": 0}
+        for n in range(1, 7):
+            for scale in (1e-8, 1.0, 1e8):
+                a = rng.normal(size=(n + 4, n)) * scale
+                spd = a.T @ a
+                b = a[:, : max(n - 1, 1)]
+                psd = b @ b.T if n > 1 else np.zeros((1, 1))  # rank deficient
+                indefinite = spd - np.trace(spd) / n * np.eye(n)  # zero when n = 1
+                for sigma in (spd, psd, indefinite):
+                    sym = 0.5 * (sigma + sigma.T)
+                    try:
+                        np.linalg.cholesky(sym)
+                        paths["cholesky"] += 1
+                    except np.linalg.LinAlgError:
+                        paths["eigenvalues"] += 1
+                    expected = np.float64(log_det_cov(sym))
+                    got = np.float64(criteria._log_det_symmetric(sym))
+                    assert got.tobytes() == expected.tobytes()
+        assert min(paths.values()) > 10
 
 
 class TestEvaluateCriterion:

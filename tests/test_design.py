@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varsearch import (
     ModelConfig,
@@ -12,6 +14,8 @@ from varsearch import (
     random_stable_coefficients,
     GeneratorSpec,
 )
+
+from varsearch.design import _lag_window, _window_columns
 
 from .conftest import make_dataset
 
@@ -113,3 +117,47 @@ def test_noiseless_reconstruction():
     predicted = sys.x @ coef.flatten()
     rel = np.linalg.norm(predicted - sys.y) / np.linalg.norm(sys.y)
     assert rel <= 1e-12
+
+
+def _fancy_gather(ds, cfg, start):
+    """X and Y by fancy indexing of the 3-D lag window, as they were once
+    built; the basic-slice gather must give the same bytes in the same
+    memory order."""
+    window = _lag_window(ds.observations, start, start)
+    lags, variables = np.divmod(_window_columns(cfg, ds.n_vars)[0], ds.n_vars)
+    order = "C" if lags.size == cfg.p + cfg.q else "F"
+    x = np.empty((window.shape[0], cfg.n_design_columns()), order=order)
+    x[:, : lags.size] = window[:, lags, variables]
+    x[:, lags.size :] = 1.0
+    y = window[:, 0, list(cfg.dependent_indices)].copy()
+    return x, y
+
+
+@st.composite
+def stacking_cases(draw):
+    """(mask, p, q, constant, extra rows skipped or None, seed)."""
+    m = draw(st.integers(1, 5))
+    mask = draw(st.lists(st.booleans(), min_size=m, max_size=m).filter(any))
+    p = draw(st.integers(1, 3))
+    q = draw(st.integers(0, 3)) if not all(mask) else 0
+    constant = draw(st.booleans())
+    extra = draw(st.none() | st.integers(0, 3))
+    return tuple(mask), p, q, constant, extra, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacking_cases())
+@example(((True, False), 1, 1, True, None, 0))  # one-column lag blocks: C order
+@example(((True, True, False), 2, 0, False, None, 1))  # no constant
+@example(((True, True, False, False), 2, 3, True, None, 2))  # q > 0
+@example(((True, False, True), 3, 1, True, 2, 3))  # a row_start override
+def test_gather_matches_fancy_indexing_bit_for_bit(case):
+    mask, p, q, constant, extra, seed = case
+    cfg = ModelConfig(p=p, q=q, dependent_mask=mask, include_constant=constant)
+    start = cfg.row_start + (extra or 0)
+    rng = np.random.default_rng(seed)
+    ds = make_dataset(rng.normal(size=(start + int(rng.integers(1, 30)), len(mask))))
+    sys = build_regression_system(ds, cfg, row_start=None if extra is None else start)
+    for got, expected in zip((sys.x, sys.y), _fancy_gather(ds, cfg, start)):
+        assert got.shape == expected.shape and got.strides == expected.strides
+        assert got.tobytes("A") == expected.tobytes("A")

@@ -94,6 +94,22 @@ class TestExhaustive:
         assert result.best_value == min(values)
         assert result.evaluations_used == len(configs)
 
+    def test_builds_each_configuration_once(self, monkeypatch):
+        # enumerate_space builds one per raw genome, and the search scores
+        # those; no candidate is rebuilt from its genome
+        ds, space = small_space_problem()
+        built = []
+        post_init = ModelConfig.__post_init__
+
+        def counting(cfg):
+            built.append(cfg)
+            post_init(cfg)
+
+        monkeypatch.setattr(ModelConfig, "__post_init__", counting)
+        result = exhaustive_search(ds, space, CriterionKind.AIC)
+        assert result.evaluations_used == 65
+        assert len(built) <= space.raw_size() + 1
+
     def test_tie_broken_by_enumeration_order(self):
         # columns 1 and 2 are identical, so the two masks picking one of
         # them tie exactly; the earlier mask integer must win

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import varsearch
@@ -57,14 +57,20 @@ def designs(draw):
     return x, y
 
 
+_EXAMPLE = np.random.default_rng(1).normal(size=(9, 3))
+
+
 @settings(max_examples=200, deadline=None)
 @given(designs())
+@example((np.ascontiguousarray(_EXAMPLE), _EXAMPLE[:, :1]))
+@example((np.asfortranarray(_EXAMPLE), _EXAMPLE[:, :1]))
 def test_qr_and_solve_match_scipy_bit_for_bit(system):
     x, y = system
-    before = x.tobytes()
+    before = (x.tobytes("A"), x.strides)
     q, r, piv = _lapack.qr_pivoted(x)
+    # dgeqp3's workspace query is handed x itself, in either layout
+    assert (x.tobytes("A"), x.strides) == before
     q_ref, r_ref, piv_ref = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    assert x.tobytes() == before
     for got, ref in ((q, q_ref), (r, r_ref), (piv, piv_ref)):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
