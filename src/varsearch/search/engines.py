@@ -24,7 +24,7 @@ In the configuration space:
   scored nothing, and a search stops once it has scored every genome of
   the raw space, as nothing is left to find,
 * candidates are compared by the key (criterion value, parameter count,
-  genome order), so ties prefer smaller models and then earlier genomes,
+  genome index), so ties prefer smaller models and then earlier genomes,
 * every random draw comes from streams derived from the master seed alone,
   so results do not depend on timing.
 
@@ -341,8 +341,9 @@ def _hybrid(run: _Run, params, share: float) -> None:
 
 
 class _SearchRun(_Run):
-    """The configuration space: genomes ``(p, q, bits)``, scored through the
-    evaluator's cache, with the candidate log.
+    """The configuration space: genomes are raw indices of the space (see
+    ``SearchSpace.genes``), scored through the evaluator's cache, with the
+    candidate log.
 
     Its limit is the size of the raw space, as no genome is scored twice.
     """
@@ -358,9 +359,7 @@ class _SearchRun(_Run):
         self.genome_length = 2 + space.n_bits
 
     def key_of(self, genome) -> tuple:
-        order = self.space.genome_order_key(genome)
-        value, n_params = self.cache[order]
-        return (value, n_params, order)
+        return (*self.cache[genome], genome)
 
     def current_key(self, genome, key) -> tuple:
         # the evaluator may since have replaced a screened value by QR's
@@ -372,21 +371,17 @@ class _SearchRun(_Run):
         A stop (budget, stagnation or exhausted space) ends the batch at
         once, so no candidate is scored that the search does not record.
         """
-        fresh = {}
-        for genome in genomes:
-            order = self.space.genome_order_key(genome)
-            if order not in self.cache and order not in fresh:
-                fresh[order] = self.space.config_from_genome(genome, self.ds)
-        self.evaluate_configs(fresh)
+        fresh = dict.fromkeys(g for g in genomes if g not in self.cache)
+        self.evaluate_configs({g: self.space.config_at(g, self.ds) for g in fresh})
 
     def evaluate_configs(self, fresh) -> None:
-        """``evaluate_batch`` of the uncached configurations ``{order: cfg}``."""
+        """``evaluate_batch`` of the uncached configurations ``{genome: cfg}``."""
         self.evaluator.screen_batch(fresh.items())
-        for order, cfg in fresh.items():
+        for genome, cfg in fresh.items():
             best = self.best_key[0] if self.best_key is not None else None
-            value, n_params, fit_result = self.evaluator.evaluate(cfg, order, best)
+            value, n_params, fit_result = self.evaluator.evaluate(cfg, genome, best)
             self.candidate_log.append((cfg, value))
-            self.record(value, (value, n_params, order), fit_result)
+            self.record(value, (value, n_params, genome), fit_result)
 
     def score(self, genomes) -> list:
         self.evaluate_batch(genomes)
@@ -398,23 +393,16 @@ class _SearchRun(_Run):
         raw = space.raw_size()
         count = min(count, raw)
         if raw <= _DISTINCT_SAMPLE_MATERIALIZE:
-            indices = rng.choice(raw, size=count, replace=False).tolist()
-            return [space.genome_at(index) for index in indices]
-        out = []
-        seen = set()
+            return rng.choice(raw, size=count, replace=False).tolist()
+        out = {}  # insertion-ordered, so the draws keep their order
         attempts = 0
         while len(out) < count and attempts < 1000 * count:
             attempts += 1
             p = int(rng.integers(1, space.p_max + 1))
             q = int(rng.integers(0, space.q_max + 1))
-            bits = tuple(int(b) for b in rng.integers(0, 2, size=space.n_bits))
-            genome = (p, q, bits)
-            order = space.genome_order_key(genome)
-            if order in seen:
-                continue
-            seen.add(order)
-            out.append(genome)
-        return out
+            bits = rng.integers(0, 2, size=space.n_bits).tolist()
+            out[space.index_of(p, q, bits)] = None
+        return list(out)
 
     def moves(self, genome) -> list:
         """Deterministically ordered one-step moves: p +/- 1, q +/- 1, bit flips.
@@ -422,56 +410,55 @@ class _SearchRun(_Run):
         Each move is ``(attr, abandoned_attr, neighbour)``.  A space of one
         genome has none, but its search stops at its first evaluation.
         """
-        p, q, bits = genome
+        space = self.space
+        p, q, bits = space.genes(genome)
         out = []
         for new_p in (p - 1, p + 1):
-            if 1 <= new_p <= self.space.p_max:
-                out.append((("p", new_p), ("p", p), (new_p, q, bits)))
+            if 1 <= new_p <= space.p_max:
+                out.append((("p", new_p), ("p", p), space.index_of(new_p, q, bits)))
         for new_q in (q - 1, q + 1):
-            if 0 <= new_q <= self.space.q_max:
-                out.append((("q", new_q), ("q", q), (p, new_q, bits)))
+            if 0 <= new_q <= space.q_max:
+                out.append((("q", new_q), ("q", q), space.index_of(p, new_q, bits)))
         for i in range(len(bits)):
-            flipped = bits[:i] + (bits[i] ^ 1,) + bits[i + 1 :]
-            out.append((("bit", i), ("bit", i), (p, q, flipped)))
+            out.append((("bit", i), ("bit", i), genome ^ (1 << i)))
         return out
 
     def crossover(self, g1, g2, rng: np.random.Generator):
         """Uniform crossover, gene by gene."""
-        p = g1[0] if rng.random() < 0.5 else g2[0]
-        q = g1[1] if rng.random() < 0.5 else g2[1]
-        bits = tuple(a if rng.random() < 0.5 else b for a, b in zip(g1[2], g2[2]))
-        return (p, q, bits)
+        (p1, q1, bits1), (p2, q2, bits2) = self.space.genes(g1), self.space.genes(g2)
+        p = p1 if rng.random() < 0.5 else p2
+        q = q1 if rng.random() < 0.5 else q2
+        bits = [a if rng.random() < 0.5 else b for a, b in zip(bits1, bits2)]
+        return self.space.index_of(p, q, bits)
 
     def mutate(self, genome, rng: np.random.Generator, rate: float):
         """Step p and q by +/- 1 (clamped) and flip bits, each with ``rate``."""
-        p, q, bits = genome
+        space = self.space
+        p, q, bits = space.genes(genome)
         if rng.random() < rate:
             step = -1 if rng.random() < 0.5 else 1
-            p = min(self.space.p_max, max(1, p + step))
+            p = min(space.p_max, max(1, p + step))
         if rng.random() < rate:
             step = -1 if rng.random() < 0.5 else 1
-            q = min(self.space.q_max, max(0, q + step))
-        new_bits = list(bits)
-        for i in range(len(bits)):
-            if rng.random() < rate:
-                new_bits[i] ^= 1
-        return (p, q, tuple(new_bits))
+            q = min(space.q_max, max(0, q + step))
+        bits = [b ^ 1 if rng.random() < rate else b for b in bits]
+        return space.index_of(p, q, bits)
 
     def construction(self):
         """From (p=1, q=0, dataset roles) fix p, then q, then each bit."""
         space = self.space
-        start = (1, 0, tuple(int(self.ds.base_mask[i]) for i in space.switchable))
+        start = space.index_of(1, 0, [self.ds.base_mask[i] for i in space.switchable])
 
         def set_p(g):
-            return [(p, g[1], g[2]) for p in range(1, space.p_max + 1)]
+            _, q, bits = space.genes(g)
+            return [space.index_of(p, q, bits) for p in range(1, space.p_max + 1)]
 
         def set_q(g):
-            return [(g[0], q, g[2]) for q in range(space.q_max + 1)]
+            p, _, bits = space.genes(g)
+            return [space.index_of(p, q, bits) for q in range(space.q_max + 1)]
 
         def set_bit(i):
-            return lambda g: [
-                (g[0], g[1], g[2][:i] + (b,) + g[2][i + 1 :]) for b in (0, 1)
-            ]
+            return lambda g: [g & ~(1 << i) | b << i for b in (0, 1)]
 
         dimensions = [set_p] + ([set_q] if space.q_max > 0 else [])
         return start, dimensions + [set_bit(i) for i in range(space.n_bits)]
@@ -533,7 +520,8 @@ def exhaustive_search(
         stagnation_limit=len(configs) + 1,
         master_seed=budget.master_seed if budget else 0,
     )
-    fresh = {space.genome_order_key(space.genome_for(cfg)): cfg for cfg in configs}
+    roles = [[cfg.dependent_mask[i] for i in space.switchable] for cfg in configs]
+    fresh = {space.index_of(c.p, c.q, bits): c for c, bits in zip(configs, roles)}
     run = _SearchRun(ds, space, kind, budget)
     return run.drive(lambda run: run.evaluate_configs(fresh)).finalize("exhaustive")
 
@@ -599,18 +587,20 @@ def _hamming(g1, g2) -> int:
     )
 
 
-def _select_diverse(candidates, refset, count):
-    """Greedy max-min Hamming additions to the reference set."""
-    chosen = list(refset)
+def _select_diverse(candidates, refset, count, genes):
+    """Greedy max-min Hamming additions to the reference set, taken on the
+    genes that ``genes`` decodes; ties go to the larger string of genes."""
+    chosen = [genes(g) for g in refset]
     added = []
-    pool = list(candidates)
+    pool = {g: genes(g) for g in candidates}
     while pool and len(added) < count:
         best = max(
             pool,
-            key=lambda g: (min(_hamming(g, r) for r in chosen), tuple(map(str, g))),
+            key=lambda g: (
+                min(_hamming(pool[g], r) for r in chosen), tuple(map(str, pool[g]))
+            ),
         )
-        pool.remove(best)
-        chosen.append(best)
+        chosen.append(pool.pop(best))
         added.append(best)
     return added
 
@@ -618,24 +608,27 @@ def _select_diverse(candidates, refset, count):
 def _scatter(run: _SearchRun, params: ScatterParams) -> None:
     space = run.space
     if space.raw_size() <= params.ref_size:
-        run.evaluate_batch(list(space.iter_genomes()))
+        run.evaluate_batch(range(space.raw_size()))
         return
     init_rng = run.rng(_STREAM_INIT)
     ops_rng = run.rng(_STREAM_OPS)
 
     def combine(g1, g2):
-        p = min(space.p_max, max(1, (g1[0] + g2[0]) // 2))
+        (p1, q1, bits1), (p2, q2, bits2) = space.genes(g1), space.genes(g2)
+        p = min(space.p_max, max(1, (p1 + p2) // 2))
         # majority vote of two: agreeing bits stay, the others are drawn
         bits = [
-            a if a == b else int(ops_rng.integers(0, 2)) for a, b in zip(g1[2], g2[2])
+            a if a == b else int(ops_rng.integers(0, 2)) for a, b in zip(bits1, bits2)
         ]
-        return (p, (g1[1] + g2[1]) // 2, tuple(bits))
+        return space.index_of(p, (q1 + q2) // 2, bits)
 
     def build_refset(pool):
         ranked = sorted(set(pool), key=run.key_of)
         best = ranked[: params.n_best]
         rest = ranked[params.n_best :]
-        diverse = _select_diverse(rest, best or rest[:1], params.ref_size - len(best))
+        diverse = _select_diverse(
+            rest, best or rest[:1], params.ref_size - len(best), space.genes
+        )
         return best + diverse
 
     def descend(genome):

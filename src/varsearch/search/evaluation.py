@@ -93,7 +93,7 @@ class _Intervals:
     def __init__(self):
         self.lows = []
         self.highs = []
-        self.entries = []  # (order, cfg); cfg is None for a QR point
+        self.entries = []  # (genome, cfg); cfg is None for a QR point
 
     def meets(self, low: float, high: float) -> bool:
         i = bisect.bisect_left(self.lows, low)
@@ -101,11 +101,11 @@ class _Intervals:
             return True
         return i < len(self.lows) and self.lows[i] <= high
 
-    def add(self, low: float, high: float, order, cfg) -> None:
+    def add(self, low: float, high: float, genome, cfg) -> None:
         i = bisect.bisect_right(self.lows, low)
         self.lows.insert(i, low)
         self.highs.insert(i, high)
-        self.entries.insert(i, (order, cfg))
+        self.entries.insert(i, (genome, cfg))
 
     def pop_screened_containing(self, value: float):
         """Remove and return the screened entries whose interval holds value."""
@@ -147,7 +147,7 @@ class CrossProductEvaluator:
     comes out as it would on QR values, and every best value and its fit
     come from QR.
 
-    ``values`` maps a candidate's genome order key to ``(value, n_params)``;
+    ``values`` maps a candidate's genome to ``(value, n_params)``;
     ``n_params`` is inf for a candidate without a fit.
 
     Raises ``NumericOverflowError`` when the sum of squares of the
@@ -200,71 +200,68 @@ class CrossProductEvaluator:
         self._norms[~np.isfinite(factor).all(axis=0)] = math.nan
 
     def screen_batch(self, batch) -> None:
-        """Screen the fresh candidates ``(order, cfg)`` of one batch at once."""
-        widths = {}  # order -> (cfg, K), K None where least squares cannot fit
-        for order, cfg in batch:
+        """Screen the fresh candidates ``(genome, cfg)`` of one batch at once."""
+        widths = {}  # genome -> (cfg, K), K None where least squares cannot fit
+        for genome, cfg in batch:
             k = cfg.n_design_columns()
             invalid = structural_violations(cfg, self.ds, row_start=self.row_start)
-            widths[order] = cfg, None if invalid or self.effective_t <= k else k
-        screens = zip(widths.items(), self._screen_all(list(widths.values())))
-        self._screens = {order: (k, screen) for (order, (_, k)), screen in screens}
+            widths[genome] = cfg, None if invalid or self.effective_t <= k else k
+        screens = zip(widths.items(), self._screen(list(widths.values())))
+        self._screens = {genome: (k, screen) for (genome, (_, k)), screen in screens}
 
-    def evaluate(self, cfg: ModelConfig, order, best_value):
-        """Score one fresh candidate; ``best_value`` is None before any.
+    def evaluate(self, cfg: ModelConfig, genome, best_value):
+        """Score a candidate of the last ``screen_batch``; ``best_value`` is
+        None before any.
 
         Returns ``(value, n_params, fit_result)``; ``fit_result`` is the
         QR fit when QR scored the candidate, else None.
         """
-        if order not in self._screens:
-            self.screen_batch([(order, cfg)])
-        k, screened = self._screens.pop(order)
+        k, screened = self._screens.pop(genome)
         if k is None:
-            self.values[order] = (math.inf, math.inf)
+            self.values[genome] = (math.inf, math.inf)
             return math.inf, math.inf, None
         if screened is not None and best_value is not None:
             value, bound = screened
             low, high = value - bound, value + bound
             if low > best_value and not self._intervals.meets(low, high):
                 n_params = cfg.n_dependent * k
-                self.values[order] = (value, n_params)
-                self._intervals.add(low, high, order, cfg)
+                self.values[genome] = (value, n_params)
+                self._intervals.add(low, high, genome, cfg)
                 return value, n_params, None
-        value, fit_result = self._certify(cfg, order)
+        value, fit_result = self._certify(cfg, genome)
         if math.isfinite(value):
-            for other_order, other_cfg in self._intervals.pop_screened_containing(value):
-                self._certify(other_cfg, other_order)
-        return value, self.values[order][1], fit_result
+            for other, other_cfg in self._intervals.pop_screened_containing(value):
+                self._certify(other_cfg, other)
+        return value, self.values[genome][1], fit_result
 
-    def _certify(self, cfg: ModelConfig, order):
+    def _certify(self, cfg: ModelConfig, genome):
         value, fit_result = evaluate_config(self.ds, cfg, self.kind, self.row_start)
         self.qr_fits += 1
         n_params = fit_result.n_params if fit_result is not None else math.inf
-        self.values[order] = (value, n_params)
+        self.values[genome] = (value, n_params)
         if math.isfinite(value):
-            self._intervals.add(value, value, order, None)
+            self._intervals.add(value, value, genome, None)
         return value, fit_result
 
-    def _screen(self, cfg: ModelConfig, k: int):
-        """``(value, bound)`` from the factor, or None if it cannot tell.
-
-        The computed factor of [X Y] is the exact factor of [X Y] plus a
-        columnwise perturbation of relative size about u sqrt(T' + W), W
-        the width of Z.  To first order that moves ln det(E'E) by at most
-        2 u sqrt(T' + W) S, S = sum_i ||row i of R_yy^-1|| (||y_i|| +
-        sum_j ||x_j|| |B_ji|) with B = R_xx^-1 R_xy the coefficients.  The
-        rounding of E'E in the QR value is added, the sum is multiplied by
-        ``_SAFETY``, and the rounding of the criterion itself is added last.
-        """
-        return self._screen_all([(cfg, k)])[0]
-
     @np.errstate(over="ignore", invalid="ignore")
-    def _screen_all(self, candidates) -> list:
-        """``_screen`` of each ``(cfg, k)``, None where k is None: the LAPACK
-        calls per candidate, the bound and ln det stacked over equal n."""
+    def _screen(self, candidates) -> list:
+        """``(value, bound)`` from the factor for each ``(cfg, k)``, or None
+        where k is None or the factor cannot tell.
+
+        The LAPACK calls are made per candidate, the bound and ln det
+        stacked over equal n.  The computed factor of [X Y] is the exact
+        factor of [X Y] plus a columnwise perturbation of relative size about
+        u sqrt(T' + W), W the width of Z.  To first order that moves
+        ln det(E'E) by at most 2 u sqrt(T' + W) S, S = sum_i ||row i of
+        R_yy^-1|| (||y_i|| + sum_j ||x_j|| |B_ji|) with B = R_xx^-1 R_xy the
+        coefficients.  The rounding of E'E in the QR value is added, the sum
+        is multiplied by ``_SAFETY``, and the rounding of the criterion itself
+        is added last.
+        """
         if len(candidates) > 1024:  # bounds the factors held at once
             half = len(candidates) // 2
             head, tail = candidates[:half], candidates[half:]
-            return self._screen_all(head) + self._screen_all(tail)
+            return self._screen(head) + self._screen(tail)
         screens = [None] * len(candidates)
         hqc_undefined = self.kind is CriterionKind.HQC and self.effective_t <= math.e
         if hqc_undefined or all(k is None for _, k in candidates):

@@ -1,9 +1,8 @@
 """Search space over model configurations and shared search types.
 
-A configuration genome is the triple ``(p, q, bits)`` where ``bits`` holds
-one dependent/independent flag per switchable column.  Enumeration order is
-lexicographic in (p, q, mask-as-binary-integer) with bit i of the mask
-integer belonging to the i-th switchable column; that order is also the
+A configuration genome is its index in the raw order of the space: p
+outermost, then q, then the role mask as a binary integer whose bit i is
+the dependent flag of the i-th switchable column.  That order is also the
 deterministic tie-breaker used by every search engine.
 """
 
@@ -96,10 +95,6 @@ class SearchSpace:
         """First regression row shared by every candidate: max(p_max, q_max)."""
         return max(self.p_max, self.q_max)
 
-    def genome_for(self, cfg: ModelConfig) -> tuple:
-        bits = tuple(int(cfg.dependent_mask[i]) for i in self.switchable)
-        return (cfg.p, cfg.q, bits)
-
     def check_columns(self, ds: TimeSeriesDataset) -> None:
         """Raise ``ValidationError`` if a switchable index is not a column of ds."""
         last = self.switchable[-1] if self.switchable else -1
@@ -107,30 +102,26 @@ class SearchSpace:
             message = f"switchable column {last} out of range for {ds.n_vars} columns"
             raise ValidationError([message])
 
-    def config_from_genome(self, genome, ds: TimeSeriesDataset) -> ModelConfig:
-        p, q, bits = genome
-        mask = list(ds.base_mask)
-        for i, col in enumerate(self.switchable):
-            mask[col] = bool(bits[i])
-        return ModelConfig(
-            p=p, q=q, dependent_mask=tuple(mask), include_constant=self.include_constant
-        )
-
-    def genome_at(self, index: int) -> tuple:
-        """The genome at ``index`` of the raw order: p outermost, mask innermost."""
+    def genes(self, index: int) -> tuple:
+        """The genes ``(p, q, bits)`` of the genome ``index``."""
         p, rest = divmod(index, (self.q_max + 1) * self.mask_count)
         q, mask_int = divmod(rest, self.mask_count)
         return (p + 1, q, tuple((mask_int >> i) & 1 for i in range(self.n_bits)))
 
-    def iter_genomes(self):
-        """All genomes in (p, q, mask-integer) lexicographic order."""
-        return map(self.genome_at, range(self.raw_size()))
-
-    @staticmethod
-    def genome_order_key(genome) -> tuple:
-        p, q, bits = genome
+    def index_of(self, p: int, q: int, bits) -> int:
+        """The genome whose genes are ``(p, q, bits)``; the inverse of ``genes``."""
         mask_int = sum(b << i for i, b in enumerate(bits))
-        return (p, q, mask_int)
+        return ((p - 1) * (self.q_max + 1) + q) * self.mask_count + mask_int
+
+    def config_at(self, index: int, ds: TimeSeriesDataset) -> ModelConfig:
+        """The configuration of the genome ``index`` on the roles of ds."""
+        p, q, bits = self.genes(index)
+        mask = list(ds.base_mask)
+        for col, bit in zip(self.switchable, bits):
+            mask[col] = bool(bit)
+        return ModelConfig(
+            p=p, q=q, dependent_mask=tuple(mask), include_constant=self.include_constant
+        )
 
 
 @dataclass(frozen=True)
@@ -193,8 +184,8 @@ def enumerate_space(space: SearchSpace, ds: TimeSeriesDataset) -> list:
     """
     space.check_columns(ds)
     configs = []
-    for genome in space.iter_genomes():
-        cfg = space.config_from_genome(genome, ds)
+    for index in range(space.raw_size()):
+        cfg = space.config_at(index, ds)
         if not validate_config(cfg, ds):
             configs.append(cfg)
     if not configs:

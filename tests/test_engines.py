@@ -289,7 +289,7 @@ class TestMetaheuristics:
         select_diverse = engines._select_diverse
 
         def keys(genomes):
-            return {space.genome_order_key(g) for g in genomes}
+            return set(genomes)
 
         def spying_sample(run, rng, count):
             runs.append(run)
@@ -297,9 +297,9 @@ class TestMetaheuristics:
             events.append(("sample", keys(out), run.evaluations_used))
             return out
 
-        def spying_select(candidates, refset, count):
+        def spying_select(candidates, refset, count, genes):
             events.append(("select", keys(list(candidates) + list(refset)), None))
-            return select_diverse(candidates, refset, count)
+            return select_diverse(candidates, refset, count, genes)
 
         monkeypatch.setattr(engines._SearchRun, "sample", spying_sample)
         monkeypatch.setattr(engines, "_select_diverse", spying_select)
@@ -375,6 +375,80 @@ class TestMetaheuristics:
         assert exhaustive_search(ds, space, CriterionKind.AIC).method == "exhaustive"
 
 
+class TestConfigurationOperators:
+    """``moves``, ``crossover``, ``mutate`` and ``construction`` on every genome,
+    checked through the genes they decode to."""
+
+    @staticmethod
+    def run():
+        ds, space = small_space_problem()
+        return engines._SearchRun(ds, space, CriterionKind.AIC, SearchBudget(10)), space
+
+    def test_moves_change_one_gene_in_a_fixed_order(self):
+        run, space = self.run()
+        for genome in range(space.raw_size()):
+            p, q, bits = space.genes(genome)
+            ps = [v for v in (p - 1, p + 1) if 1 <= v <= space.p_max]
+            qs = [v for v in (q - 1, q + 1) if 0 <= v <= space.q_max]
+            want = [(("p", v), ("p", p)) for v in ps] + [(("q", v), ("q", q)) for v in qs]
+            want += [(("bit", i), ("bit", i)) for i in range(len(bits))]
+            moves = run.moves(genome)
+            assert [(attr, old) for attr, old, _ in moves] == want
+            for (name, value), _, neighbour in moves:
+                genes = space.genes(neighbour)
+                assert neighbour in range(space.raw_size())
+                changed = [i for i in range(3) if genes[i] != (p, q, bits)[i]]
+                if name == "bit":
+                    assert changed == [2]
+                    assert [a != b for a, b in zip(genes[2], bits)] == [
+                        i == value for i in range(len(bits))
+                    ]
+                else:
+                    assert changed == [0 if name == "p" else 1]
+                    assert genes[changed[0]] == value
+                    assert abs(value - (p, q)[changed[0]]) == 1
+
+    def test_crossover_takes_each_gene_from_a_parent(self):
+        run, space = self.run()
+        rng = np.random.default_rng(0)
+        raw = space.raw_size()
+        for g1 in range(raw):
+            g2 = (g1 * 37 + 11) % raw
+            (p1, q1, bits1), (p2, q2, bits2) = space.genes(g1), space.genes(g2)
+            p, q, bits = space.genes(run.crossover(g1, g2, rng))
+            assert p in (p1, p2) and q in (q1, q2)
+            assert all(b in pair for b, pair in zip(bits, zip(bits1, bits2)))
+
+    def test_mutate_at_rate_zero_and_one(self):
+        run, space = self.run()
+        rng = np.random.default_rng(0)
+        for genome in range(space.raw_size()):
+            assert run.mutate(genome, rng, 0.0) == genome
+            p, q, bits = space.genes(genome)
+            new_p, new_q, new_bits = space.genes(run.mutate(genome, rng, 1.0))
+            assert new_bits == tuple(1 - b for b in bits)
+            assert new_p in {min(space.p_max, max(1, p + s)) for s in (-1, 1)}
+            assert new_q in {min(space.q_max, max(0, q + s)) for s in (-1, 1)}
+
+    def test_construction_starts_from_the_dataset_roles(self):
+        run, space = self.run()
+        start, dimensions = run.construction()
+        roles = tuple(int(run.ds.base_mask[i]) for i in space.switchable)
+        assert space.genes(start) == (1, 0, roles)
+        assert len(dimensions) == 2 + space.n_bits
+        for genome in range(space.raw_size()):
+            p, q, bits = space.genes(genome)
+            set_p, set_q, *set_bits = (
+                [space.genes(t) for t in trials(genome)] for trials in dimensions
+            )
+            assert set_p == [(v, q, bits) for v in range(1, space.p_max + 1)]
+            assert set_q == [(p, v, bits) for v in range(space.q_max + 1)]
+            for i, trials in enumerate(set_bits):
+                assert trials == [
+                    (p, q, bits[:i] + (b,) + bits[i + 1 :]) for b in (0, 1)
+                ]
+
+
 class TestSampling:
     """``_SearchRun.sample`` above the size where the raw space is listed."""
 
@@ -393,8 +467,8 @@ class TestSampling:
         run, space = self.big_space_run()
         genomes = run.sample(np.random.default_rng(3), 200)
         assert len(genomes) == 200
-        assert len({space.genome_order_key(g) for g in genomes}) == 200
-        for p, q, bits in genomes:
+        assert len(set(genomes)) == 200
+        for p, q, bits in map(space.genes, genomes):
             assert 1 <= p <= 2 and 0 <= q <= 1
             assert len(bits) == 17 and set(bits) <= {0, 1}
 
@@ -440,7 +514,7 @@ class TestDescent:
         ds, space = small_space_problem()
         budget = SearchBudget(65, 65)
         run = engines._SearchRun(ds, space, CriterionKind.AIC, budget)
-        start = (1, 0, (1, 1))
+        start = space.index_of(1, 0, (1, 1))
         optimum, _ = engines._descend(run, start, run.score([start])[0])
         run = engines._SearchRun(ds, space, CriterionKind.AIC, budget)
         key = run.score([optimum])[0]
@@ -522,8 +596,9 @@ class TestCandidateScoring:
         best, decisions = None, []
         for order, cfg in configs:
             k = cfg.n_design_columns()
-            assert screens[order] == (k, single._screen(cfg, k))
+            assert screens[order] == (k, single._screen([(cfg, k)])[0])
             got = batched.evaluate(cfg, order, best)
+            single.screen_batch([(order, cfg)])
             want = single.evaluate(cfg, order, best)
             assert got[:2] == want[:2]
             assert (got[2] is None) == (want[2] is None)
@@ -538,9 +613,9 @@ class TestCandidateScoring:
         ds, space = small_space_problem()
         evaluator = CrossProductEvaluator(ds, space, CriterionKind.AIC)
         candidates = [(cfg, cfg.n_design_columns()) for cfg in enumerate_space(space, ds)]
-        singles = [evaluator._screen(cfg, k) for cfg, k in candidates]
+        singles = [evaluator._screen([(cfg, k)])[0] for cfg, k in candidates]
         assert len(candidates) * 16 > 1024
-        assert evaluator._screen_all(candidates * 16) == singles * 16
+        assert evaluator._screen(candidates * 16) == singles * 16
 
     def test_search_on_too_few_rows_matches_qr_only(self):
         # T' < 1: no factor is built and no candidate fits, so the batch
@@ -556,7 +631,7 @@ class TestCandidateScoring:
         evaluator = CrossProductEvaluator(ds, space, kind)
         screened = 0
         for cfg in enumerate_space(space, ds):
-            got = evaluator._screen(cfg, cfg.n_design_columns())
+            got = evaluator._screen([(cfg, cfg.n_design_columns())])[0]
             want, _ = evaluate_config(ds, cfg, kind, space.common_row_start)
             if got is not None:
                 screened += 1
@@ -626,7 +701,7 @@ class TestCandidateScoring:
             value, _ = evaluate_config(ds, cfg, kind, space.common_row_start)
             if value == -math.inf:
                 perfect += 1
-                assert evaluator._screen(cfg, cfg.n_design_columns()) is None
+                assert evaluator._screen([(cfg, cfg.n_design_columns())])[0] is None
         assert perfect >= 2
         assert_same_as_qr(exhaustive_search, ds, space, kind)
 
@@ -657,11 +732,11 @@ class TestCandidateScoring:
         cfg = ModelConfig(p=1, q=1, dependent_mask=(True, False, False))
         assert evaluate_config(ds, cfg, kind, space.common_row_start) == (math.inf, None)
         evaluator = CrossProductEvaluator(ds, space, kind)
-        assert evaluator._screen(cfg, cfg.n_design_columns()) is None
+        assert evaluator._screen([(cfg, cfg.n_design_columns())])[0] is None
         assert_same_as_qr(exhaustive_search, ds, space, kind)
 
     def test_qr_value_inside_a_screened_interval_refits_it(self, monkeypatch):
-        # the same configuration under two order keys: the second one's
+        # the same configuration as two genomes of one batch: the second one's
         # interval meets the first, so QR scores it, and its QR value lies
         # inside the first one's interval, so the first is refitted too
         ds, space = small_space_problem()
@@ -675,6 +750,7 @@ class TestCandidateScoring:
             return original(self, cfg, order)
 
         monkeypatch.setattr(CrossProductEvaluator, "_certify", spying)
+        evaluator.screen_batch([("first", cfg), ("second", cfg)])
         _, _, fit_result = evaluator.evaluate(cfg, "first", -1e9)
         assert fit_result is None
         value, _, fit_result = evaluator.evaluate(cfg, "second", -1e9)

@@ -39,7 +39,9 @@ from varsearch import (
     tabu_search,
 )
 
-from .conftest import noisy_dataset
+from varsearch.search import engines
+
+from .conftest import make_dataset, noisy_dataset
 
 VALUE_TOL = 1e-12
 
@@ -333,6 +335,66 @@ COEFF_PARAM_PINS = {
     ),
 }
 
+
+def _roles(text):
+    return tuple(c == "1" for c in text)
+
+
+# a raw space of 2 * 2 * 2**17 genomes, so the engines sample it by
+# drawing genes rather than by listing its indices
+LARGE_SPACE_PINS = {
+    'ga': Pin(
+        evaluations_used=60,
+        indices=[1, 4, 33],
+        values=[0.23739437172712702, -0.12986771915703432, -0.18324860325286899],
+        best=(1, 0, _roles('10011001000001001')),
+        log_digest='1605a055d4f65927',
+    ),
+    'grasp': Pin(
+        evaluations_used=60,
+        indices=[1, 6, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19, 31, 50],
+        values=[
+            0.2102863264593584, 0.18917512288639649, 0.10676073871138447,
+            0.01456343518847425, 0.0014869913226176479, -0.017374981949159873,
+            -0.06147064956566339, -0.08926662773008176, -0.11178796680645914,
+            -0.11909218790490295, -0.19327368754527002, -0.3468995450783515,
+            -0.3550913812754608, -0.3565420122568743,
+        ],
+        best=(1, 0, _roles('11011000100000001')),
+        log_digest='3fba3d3a21f39c5b',
+    ),
+    'scatter': Pin(
+        evaluations_used=60,
+        indices=[1, 4, 28, 43, 48],
+        values=[
+            0.23739437172712702, -0.12986771915703432, -0.18100974552528187,
+            -0.2002685584470686, -0.33273124958121114,
+        ],
+        best=(1, 0, _roles('11011000101100001')),
+        log_digest='75ed1ea632d16096',
+    ),
+    'tabu': Pin(
+        evaluations_used=60,
+        indices=[1, 3, 23, 37, 41, 60],
+        values=[
+            0.23739437172712702, 0.07281083739234528, -0.03645540075363435,
+            -0.058592477136869936, -0.17506140352446298, -0.18499488887414545,
+        ],
+        best=(1, 0, _roles('11011010101011000')),
+        log_digest='9df9a99752e8305d',
+    ),
+}
+# GRASP and the hybrid build the same first 60 candidates here
+LARGE_SPACE_PINS['hybrid'] = LARGE_SPACE_PINS['grasp']
+
+# sample(default_rng(3), 200) on the large space, as (p, q, mask integer):
+# the first six and a digest of all 200
+LARGE_SPACE_SAMPLE_HEAD = [
+    (2, 0, 50232), (1, 0, 118630), (2, 0, 36377), (1, 0, 72675), (1, 1, 46777),
+    (1, 1, 105227),
+]
+LARGE_SPACE_SAMPLE_DIGEST = '6aeab0675e4a4a9d'
+
 CONFIG_ENGINES = {
     "ga": ga_search,
     "tabu": tabu_search,
@@ -416,3 +478,30 @@ def test_coefficient_engine_answers_are_pinned(name):
 def test_coefficient_engine_answers_with_non_default_parameters(name):
     outcome = _coefficient_outcome(name, COEFF_PARAMS)
     _assert_coeff_pin(outcome, COEFF_PARAM_PINS[name])
+
+
+def _large_space_problem():
+    ds = make_dataset(np.random.default_rng(0).normal(size=(400, 17)))
+    space = SearchSpace(
+        p_max=2, q_max=1, partition_mode=PartitionMode.SEARCH,
+        switchable=tuple(range(17)),
+    )
+    assert space.raw_size() > engines._DISTINCT_SAMPLE_MATERIALIZE
+    return ds, space
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_SPACE_PINS))
+def test_configuration_engine_answers_on_a_sampled_space(name):
+    ds, space = _large_space_problem()
+    result = CONFIG_ENGINES[name](ds, space, CriterionKind.AIC, SearchBudget(60, 50, 1))
+    _assert_config_pin(result, LARGE_SPACE_PINS[name])
+
+
+def test_large_space_sample_is_pinned():
+    ds, space = _large_space_problem()
+    run = engines._SearchRun(ds, space, CriterionKind.AIC, SearchBudget(10))
+    genes = [space.genes(g) for g in run.sample(np.random.default_rng(3), 200)]
+    triples = [(p, q, sum(b << i for i, b in enumerate(bits))) for p, q, bits in genes]
+    assert triples[: len(LARGE_SPACE_SAMPLE_HEAD)] == LARGE_SPACE_SAMPLE_HEAD
+    digest = hashlib.sha256(repr(triples).encode()).hexdigest()[:16]
+    assert digest == LARGE_SPACE_SAMPLE_DIGEST

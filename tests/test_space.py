@@ -80,7 +80,7 @@ def test_empty_space_raises():
         enumerate_space(SearchSpace(p_max=3), ds)
 
 
-def test_genome_round_trip():
+def test_genome_index_round_trip_and_lexicographic_order():
     ds = make_dataset(
         np.random.default_rng(3).normal(size=(40, 3)),
         roles=(Role.DEPENDENT, Role.INDEPENDENT, Role.INDEPENDENT),
@@ -88,16 +88,14 @@ def test_genome_round_trip():
     space = SearchSpace(
         p_max=3, q_max=2, partition_mode=PartitionMode.SEARCH, switchable=(1, 2)
     )
-    for genome in space.iter_genomes():
-        cfg = space.config_from_genome(genome, ds)
-        assert space.genome_for(cfg) == genome
-
-
-def test_order_key_is_lexicographic():
-    space = SearchSpace(
-        p_max=2, q_max=1, partition_mode=PartitionMode.SEARCH, switchable=(1,)
-    )
-    keys = [space.genome_order_key(g) for g in space.iter_genomes()]
+    keys = []
+    for index in range(space.raw_size()):
+        p, q, bits = space.genes(index)
+        assert space.index_of(p, q, bits) == index
+        cfg = space.config_at(index, ds)
+        assert (cfg.p, cfg.q) == (p, q)
+        assert cfg.dependent_mask == (True,) + tuple(bool(b) for b in bits)
+        keys.append((p, q, sum(b << i for i, b in enumerate(bits))))
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
