@@ -374,9 +374,13 @@ class _SearchRun(_Run):
         fresh = dict.fromkeys(g for g in genomes if g not in self.cache)
         self.evaluate_configs({g: self.space.config_at(g, self.ds) for g in fresh})
 
-    def evaluate_configs(self, fresh) -> None:
-        """``evaluate_batch`` of the uncached configurations ``{genome: cfg}``."""
-        self.evaluator.screen_batch(fresh.items())
+    def evaluate_configs(self, fresh, families=False) -> None:
+        """``evaluate_batch`` of the uncached configurations ``{genome: cfg}``;
+        ``families`` screens a complete enumeration by lag-order family."""
+        if families:
+            self.evaluator.screen_families(fresh.items())
+        else:
+            self.evaluator.screen_batch(fresh.items())
         for genome, cfg in fresh.items():
             best = self.best_key[0] if self.best_key is not None else None
             value, n_params, fit_result = self.evaluator.evaluate(cfg, genome, best)
@@ -523,7 +527,7 @@ def exhaustive_search(
     roles = [[cfg.dependent_mask[i] for i in space.switchable] for cfg in configs]
     fresh = {space.index_of(c.p, c.q, bits): c for c, bits in zip(configs, roles)}
     run = _SearchRun(ds, space, kind, budget)
-    return run.drive(lambda run: run.evaluate_configs(fresh)).finalize("exhaustive")
+    return run.drive(_SearchRun.evaluate_configs, fresh, True).finalize("exhaustive")
 
 
 @one_blas_thread()

@@ -46,6 +46,9 @@ _SAFETY = 8.0
 # Rows of Z per block of the streamed QR factor.
 _CHUNK = 1024
 
+# Candidates whose screens are held at once; bounds the memory of a batch.
+_HELD = 1024
+
 
 def derive_candidate_seed(master_seed: int, stream_id: int) -> int:
     """Decorrelated 64-bit seed for one logical stream.
@@ -134,6 +137,12 @@ class CrossProductEvaluator:
     ln det(E'E) = 2 sum ln |diag(R_yy)| whatever the sample size.
     ``screen_batch`` screens a batch at once, bounds and ln det stacked over
     equal n, and ``evaluate`` then decides its candidates one at a time.
+    ``screen_families`` screens a complete enumeration instead, which
+    ``exhaustive_search`` hands it: the candidates that share q, roles and
+    constant have designs nested in p, so one QR of the widest serves the
+    whole family.  The metaheuristics screen per candidate, as their
+    batches hold one or two lag orders of a family, and a shared factor
+    would make a candidate's screen depend on its batch-mates.
 
     Householder QR is backward stable column by column, so each screened
     value carries a bound on its distance from the QR value of
@@ -200,14 +209,23 @@ class CrossProductEvaluator:
         self._norms[~np.isfinite(factor).all(axis=0)] = math.nan
 
     def screen_batch(self, batch) -> None:
-        """Screen the fresh candidates ``(genome, cfg)`` of one batch at once."""
+        """Screen the fresh candidates ``(genome, cfg)`` of one batch at once,
+        each from its own QR of its columns of R."""
+        self._screen_into(batch, self._screen)
+
+    def screen_families(self, batch) -> None:
+        """``screen_batch`` of a complete enumeration, each lag-order family
+        from one QR (see ``_screen_families``)."""
+        self._screen_into(batch, self._screen_families)
+
+    def _screen_into(self, batch, screen) -> None:
         widths = {}  # genome -> (cfg, K), K None where least squares cannot fit
         for genome, cfg in batch:
             k = cfg.n_design_columns()
             invalid = structural_violations(cfg, self.ds, row_start=self.row_start)
             widths[genome] = cfg, None if invalid or self.effective_t <= k else k
-        screens = zip(widths.items(), self._screen(list(widths.values())))
-        self._screens = {genome: (k, screen) for (genome, (_, k)), screen in screens}
+        screens = zip(widths.items(), screen(list(widths.values())))
+        self._screens = {genome: (k, result) for (genome, (_, k)), result in screens}
 
     def evaluate(self, cfg: ModelConfig, genome, best_value):
         """Score a candidate of the last ``screen_batch``; ``best_value`` is
@@ -243,31 +261,29 @@ class CrossProductEvaluator:
             self._intervals.add(value, value, genome, None)
         return value, fit_result
 
+    def _undecidable(self, candidates) -> bool:
+        """Whether the factor can screen none of the ``(cfg, k)``."""
+        if self.kind is CriterionKind.HQC and self.effective_t <= math.e:
+            return True  # HQC is undefined
+        return all(k is None for _, k in candidates)  # always so when T' < 1
+
     @np.errstate(over="ignore", invalid="ignore")
     def _screen(self, candidates) -> list:
         """``(value, bound)`` from the factor for each ``(cfg, k)``, or None
         where k is None or the factor cannot tell.
 
         The LAPACK calls are made per candidate, the bound and ln det
-        stacked over equal n.  The computed factor of [X Y] is the exact
-        factor of [X Y] plus a columnwise perturbation of relative size about
-        u sqrt(T' + W), W the width of Z.  To first order that moves
-        ln det(E'E) by at most 2 u sqrt(T' + W) S, S = sum_i ||row i of
-        R_yy^-1|| (||y_i|| + sum_j ||x_j|| |B_ji|) with B = R_xx^-1 R_xy the
-        coefficients.  The rounding of E'E in the QR value is added, the sum
-        is multiplied by ``_SAFETY``, and the rounding of the criterion itself
-        is added last.
+        stacked over equal n (``_bound``).
         """
-        if len(candidates) > 1024:  # bounds the factors held at once
+        if len(candidates) > _HELD:
             half = len(candidates) // 2
             head, tail = candidates[:half], candidates[half:]
             return self._screen(head) + self._screen(tail)
         screens = [None] * len(candidates)
-        hqc_undefined = self.kind is CriterionKind.HQC and self.effective_t <= math.e
-        if hqc_undefined or all(k is None for _, k in candidates):
-            return screens  # no factor is built when T' < 1, where none fits
-        t, width = self.effective_t, self._columns.shape[0]  # T', W
-        groups = {}  # n -> [(index, k, R_yy, R_yy^-1, ||y_i|| + sum_j ||x_j|| |B_ji|)]
+        if self._undecidable(candidates):
+            return screens
+        width = self._columns.shape[0]  # W
+        groups = {}  # n -> [(index, k, R_yy, R_yy^-1, weights, tail rows)]
         for index, (cfg, k) in enumerate(candidates):
             if k is None:
                 continue
@@ -284,25 +300,139 @@ class CrossProductEvaluator:
             qr = lapack.dgeqrf(block, overwrite_a=1)[0]
             r_xx, r_xy = qr[:k, :k], qr[:k, k : k + n]
             r_yy = qr[k : k + n, k : k + n].copy()  # so that no group keeps qr
-            # QR flags rank when a pivoted diagonal falls below RANK_RTOL times
-            # its column's norm, and every such ratio is at least
-            # 1 / cond_2(X D^-1) >= 1 / (K cond_1(R D^-1)), D the column norms
-            rcond, _ = lapack.dtrcon(r_xx / norms[:k])
-            if not rcond > 10.0 * k * RANK_RTOL:
+            if not _full_rank(r_xx, norms[:k]):
                 continue
             coef, _ = lapack.dtrtrs(r_xx, r_xy)
             r_yy_inv, info = lapack.dtrtri(r_yy)
             if info == 0:
                 weights = norms[k:] + norms[:k] @ np.abs(coef)
-                groups.setdefault(n, []).append((index, k, r_yy, r_yy_inv, weights))
+                groups.setdefault(n, []).append((index, k, r_yy, r_yy_inv, weights, 0))
+        self._bound(groups, screens)
+        return screens
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _screen_families(self, candidates) -> list:
+        """``_screen`` of the candidates of a complete enumeration, one QR per
+        lag-order family.
+
+        The candidates with the same q, roles and constant form a family
+        whose designs are nested in p once X's columns are ordered [1,
+        exogenous lags 1..q, endogenous lags 1..p]: X of order p is the
+        leading K_p columns of the widest member's X.  One Householder QR of
+        the widest member's [X Y] therefore holds every member, as in
+        order-recursive least squares (Miller, *Subset Selection in
+        Regression*, 2002, ch. 2): R_xx and R_xy of order p are its leading
+        K_p rows, and E_p'E_p = R[K_p:, Y]'R[K_p:, Y], so a stacked QR of the
+        rows below gives each R_yy.  A screen depends on the family members
+        present, which for a complete enumeration is the space alone.
+        Families are processed in chunks of about ``_HELD`` candidates,
+        never split, so that the screens held at once stay bounded.
+        """
+        screens = [None] * len(candidates)
+        if self._undecidable(candidates):
+            return screens
+        families = {}  # (q, roles, constant) -> [(index, cfg, k)]
+        for index, (cfg, k) in enumerate(candidates):
+            if k is not None:
+                family = (cfg.q, cfg.dependent_mask, cfg.include_constant)
+                families.setdefault(family, []).append((index, cfg, k))
+        groups, held = {}, 0
+        for members in families.values():
+            self._screen_family(members, groups)
+            held += len(members)
+            if held >= _HELD:
+                self._bound(groups, screens)
+                groups, held = {}, 0
+        self._bound(groups, screens)
+        return screens
+
+    def _screen_family(self, members, groups) -> None:
+        """Add the screenable members ``(index, cfg, k)`` of one family to
+        ``groups`` as ``_screen`` does, from one QR of the widest.
+
+        Every check of ``_screen`` is made per lag order: a zero or nan
+        column norm, too few rows of R, the rank test and a singular R_yy.
+        By singular-value interlacing, a column subset of X D^-1 is
+        conditioned no worse than X D^-1 itself, so one rank test of the
+        widest member at its own threshold covers every smaller order; where
+        it fails, each order takes its own test.
+        """
+        width, rows = self._columns.shape  # W, and rows of R: min(T', W)
+        widest = max(members, key=lambda m: m[2])[1]
+        x, y = _window_columns(widest, self.ds.n_vars)
+        n, endogenous = len(y), widest.p * len(y)  # x holds the endogenous lags first
+        columns = [width - 1] * widest.include_constant + x[endogenous:] + x[:endogenous]
+        norms = self._norms[columns + y]
+        # order p needs positive norms up to its K_p-th column (a nan norm fails)
+        positive = np.logical_and.accumulate(norms[:-n] > 0.0) & (norms[-n:].min() > 0.0)
+        usable = [
+            (index, k) for index, _, k in members if positive[k - 1] and k + n <= rows
+        ]
+        if not usable:
+            return
+        k_top = max(k for _, k in usable)
+        columns = columns[:k_top] + y
+        idx = np.array(columns, dtype=np.intp)
+        block = self._columns[idx, : max(columns) + 1].T
+        qr = lapack.dgeqrf(block, overwrite_a=1)[0]  # its lower triangle is not R's
+        norms_x, norms_y = norms[:k_top], norms[-n:]
+        ranked = sorted({k for _, k in usable})  # K_p of the lag orders
+        if not _full_rank(qr[:k_top, :k_top], norms_x):
+            ranked = [k for k in ranked if _full_rank(qr[:k, :k], norms_x[:k])]
+            if not ranked:
+                return
+        # B_p = R_xx^-1 R_xy of order p, R_xx a leading block of the widest
+        # ranked order's, solves that triangle with R_xy's rows from K_p on zeroed
+        k_solve, ks = ranked[-1], np.array(ranked)
+        leading = np.arange(k_solve)[:, None] < ks
+        rhs = qr[:k_solve, None, k_top:] * leading[:, :, None]
+        coef, _ = lapack.dtrtrs(qr[:k_solve, :k_solve], rhs.reshape(k_solve, -1))
+        weights = norms_y + (norms_x[:k_solve] @ np.abs(coef)).reshape(len(ks), n)
+        # order p's rows of R below X's, zero-padded, with the Householder
+        # vectors under the diagonal of Y's last n rows zeroed
+        tail_rows = k_top + n - ks
+        below = np.zeros((k_top + n + tail_rows[0], n))
+        below[: k_top + n] = qr[: k_top + n, k_top:]
+        for j in range(n - 1):
+            below[k_top + j + 1 : k_top + n, j] = 0.0
+        r_yy = np.linalg.qr(below[ks[:, None] + np.arange(tail_rows[0])], mode="r")
+        entries = {}  # K_p -> (R_yy, R_yy^-1, weights, tail rows)
+        for k, r, w, m in zip(ranked, r_yy, weights, tail_rows):
+            r_inv, info = lapack.dtrtri(r)
+            if info == 0:
+                entries[k] = r, r_inv, w, m
+        for index, k in usable:
+            if k in entries:
+                groups.setdefault(n, []).append((index, k, *entries[k]))
+
+    def _bound(self, groups, screens) -> None:
+        """Set ``screens[index]`` to ``(value, bound)`` for each entry ``(index,
+        k, R_yy, R_yy^-1, weights, tail rows)`` of ``groups``, stacked over
+        equal n, where the bound allows the value.
+
+        The computed factor of [X Y] is the exact factor of [X Y] plus a
+        columnwise perturbation of relative size about u sqrt(T' + W), W the
+        width of Z.  To first order that moves ln det(E'E) by at most
+        2 u sqrt(T' + W) S, S = sum_i ||row i of R_yy^-1|| (||y_i|| +
+        sum_j ||x_j|| |B_ji|) with B = R_xx^-1 R_xy the coefficients, and
+        weights_i = ||y_i|| + sum_j ||x_j|| |B_ji|.  Where R_yy comes from a
+        second QR, of the m rows of R below X's (``_screen_families``), that
+        QR is the exact one of those rows E plus a columnwise perturbation of
+        relative size about u sqrt(m); as ||e_i|| <= ||y_i||, it moves
+        ln det(E'E) = ln det(R_yy'R_yy) by at most 2 u sqrt(m) S more.  The
+        rounding of E'E in the QR value is added, the sum is multiplied by
+        ``_SAFETY``, and the rounding of the criterion itself is added last.
+        """
+        t, width = self.effective_t, self._columns.shape[0]  # T', W
         for n, group in groups.items():
-            indices, ks, r_yy, r_yy_inv, weights = zip(*group)
+            indices, ks, r_yy, r_yy_inv, weights, tails = zip(*group)
             r_yy, r_yy_inv = np.triu(np.stack(r_yy)), np.triu(np.stack(r_yy_inv))
             sensitivity = np.sum(np.linalg.norm(r_yy_inv, axis=2) * weights, axis=1)
             v = np.linalg.norm(r_yy, axis=1)[:, :, None] * r_yy_inv
             v_norm = np.linalg.norm(v @ np.swapaxes(v, 1, 2), axis=(1, 2))
+            perturbation = math.sqrt(t + width) + np.sqrt(tails)
             bounds = _SAFETY * _UNIT * (
-                2.0 * math.sqrt(t + width) * sensitivity + math.sqrt(t) * v_norm
+                2.0 * perturbation * sensitivity + math.sqrt(t) * v_norm
             )
             diagonals = np.abs(np.diagonal(r_yy, axis1=1, axis2=2))
             log_dets = 2.0 * np.sum(np.log(diagonals), axis=1) - n * math.log(t)
@@ -316,4 +446,15 @@ class CrossProductEvaluator:
                     value = criterion_from_log_det(self.kind, log_det, n * k, t)
                     margin = 8.0 * _UNIT * (abs(value) + abs(log_det) + n)
                     screens[index] = value, bound + margin
-        return screens
+
+
+def _full_rank(r_xx: np.ndarray, norms: np.ndarray) -> bool:
+    """Whether the condition of X rules out QR's rank flag, from the
+    triangle R_xx of X and X's column norms D.
+
+    QR flags rank when a pivoted diagonal falls below RANK_RTOL times its
+    column's norm, and every such ratio is at least 1 / cond_2(X D^-1) >=
+    1 / (K cond_1(R_xx D^-1)); LAPACK reads only R_xx's upper triangle.
+    """
+    rcond, _ = lapack.dtrcon(r_xx / norms)
+    return rcond > 10.0 * len(norms) * RANK_RTOL

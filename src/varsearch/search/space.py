@@ -63,6 +63,9 @@ class SearchSpace:
     partition_mode: PartitionMode = PartitionMode.FIXED
     switchable: tuple = ()
     include_constant: bool = True
+    # switchable columns whose role is searched, and 2 ** n_bits role masks
+    n_bits: int = field(init=False, repr=False, compare=False)
+    mask_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p_max < 1:
@@ -77,14 +80,9 @@ class SearchSpace:
         if self.partition_mode is PartitionMode.FIXED and switchable:
             raise ValueError("switchable columns require partition_mode=SEARCH")
         object.__setattr__(self, "switchable", switchable)
-
-    @property
-    def n_bits(self) -> int:
-        return len(self.switchable) if self.partition_mode is PartitionMode.SEARCH else 0
-
-    @property
-    def mask_count(self) -> int:
-        return 1 << self.n_bits
+        n_bits = len(switchable) if self.partition_mode is PartitionMode.SEARCH else 0
+        object.__setattr__(self, "n_bits", n_bits)
+        object.__setattr__(self, "mask_count", 1 << n_bits)
 
     def raw_size(self) -> int:
         """Size before validity filtering."""

@@ -629,14 +629,64 @@ class TestCandidateScoring:
     def test_screened_values_within_tolerance_of_qr(self, kind):
         ds, space = small_space_problem()
         evaluator = CrossProductEvaluator(ds, space, kind)
-        screened = 0
-        for cfg in enumerate_space(space, ds):
-            got = evaluator._screen([(cfg, cfg.n_design_columns())])[0]
-            want, _ = evaluate_config(ds, cfg, kind, space.common_row_start)
-            if got is not None:
-                screened += 1
-                assert abs(got[0] - want) <= min(got[1], 1e-9)
-        assert screened > 0
+        candidates = [(cfg, cfg.n_design_columns()) for cfg in enumerate_space(space, ds)]
+        singles = [evaluator._screen([candidate])[0] for candidate in candidates]
+        for screens in (singles, evaluator._screen_families(candidates)):
+            screened = 0
+            for (cfg, _), got in zip(candidates, screens):
+                want, _ = evaluate_config(ds, cfg, kind, space.common_row_start)
+                if got is not None:
+                    screened += 1
+                    assert abs(got[0] - want) <= min(got[1], 1e-9)
+            assert screened > 0
+
+    @pytest.mark.parametrize("problem", [small_space_problem, random_walk_problem])
+    def test_family_screens_do_not_depend_on_the_enumeration_order(self, problem):
+        ds, space = problem()
+        evaluator = CrossProductEvaluator(ds, space, CriterionKind.BIC)
+        candidates = [(cfg, cfg.n_design_columns()) for cfg in enumerate_space(space, ds)]
+        screens = evaluator._screen_families(candidates)
+        assert sum(screen is not None for screen in screens) > 0
+        assert evaluator._screen_families(candidates[::-1]) == screens[::-1]
+
+    def test_exhaustive_search_factors_each_family_once(self, monkeypatch):
+        ds, space = small_space_problem()
+        configs = enumerate_space(space, ds)
+        families = {(c.q, c.dependent_mask, c.include_constant) for c in configs}
+        real, calls = evaluation.lapack, []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            def dgeqrf(self, *args, **kwargs):
+                calls.append(args[0].shape)
+                return real.dgeqrf(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "lapack", Spy())
+        exhaustive_search(ds, space, CriterionKind.AIC)
+        # one for the factor of Z, whose 115 rows make one block, and one per family
+        assert len(calls) == 1 + len(families) < len(configs)
+
+    def test_too_few_factor_rows_match_a_qr_only_search(self):
+        # T' = 12 rows against W = 16 columns of Z: R has only 12 rows, so
+        # the orders with K + n > 12 >= K + 1 must go to QR
+        ds = make_dataset(
+            np.random.default_rng(3).normal(size=(16, 3)),
+            roles=(Role.DEPENDENT, Role.DEPENDENT, Role.INDEPENDENT),
+        )
+        space = SearchSpace(
+            p_max=4, q_max=2, partition_mode=PartitionMode.SEARCH, switchable=(2,)
+        )
+        evaluator = CrossProductEvaluator(ds, space, CriterionKind.AIC)
+        assert evaluator._columns.shape == (16, 12)
+        candidates = [(cfg, cfg.n_design_columns()) for cfg in enumerate_space(space, ds)]
+        screens = evaluator._screen_families(candidates)
+        short = [s for (cfg, k), s in zip(candidates, screens) if k < 12 < k + cfg.n_dependent]
+        assert short and all(s is None for s in short)
+        assert any(s is not None for s in screens)
+        for kind in CriterionKind:
+            assert_same_as_qr(exhaustive_search, ds, space, kind)
 
     def test_search_partition_values_shift_with_the_units(self):
         # candidates of a SEARCH partition differ in n, and ln det of an
@@ -696,12 +746,16 @@ class TestCandidateScoring:
         )
         space = SearchSpace(p_max=2, q_max=2)
         evaluator = CrossProductEvaluator(ds, space, kind)
+        configs = enumerate_space(space, ds)
+        candidates = [(cfg, cfg.n_design_columns()) for cfg in configs]
+        family_screens = dict(zip(configs, evaluator._screen_families(candidates)))
         perfect = 0
-        for cfg in enumerate_space(space, ds):
+        for cfg in configs:
             value, _ = evaluate_config(ds, cfg, kind, space.common_row_start)
             if value == -math.inf:
                 perfect += 1
                 assert evaluator._screen([(cfg, cfg.n_design_columns())])[0] is None
+                assert family_screens[cfg] is None
         assert perfect >= 2
         assert_same_as_qr(exhaustive_search, ds, space, kind)
 
@@ -733,6 +787,10 @@ class TestCandidateScoring:
         assert evaluate_config(ds, cfg, kind, space.common_row_start) == (math.inf, None)
         evaluator = CrossProductEvaluator(ds, space, kind)
         assert evaluator._screen([(cfg, cfg.n_design_columns())])[0] is None
+        configs = enumerate_space(space, ds)
+        candidates = [(c, c.n_design_columns()) for c in configs]
+        family_screens = dict(zip(configs, evaluator._screen_families(candidates)))
+        assert family_screens[cfg] is None
         assert_same_as_qr(exhaustive_search, ds, space, kind)
 
     def test_qr_value_inside_a_screened_interval_refits_it(self, monkeypatch):
