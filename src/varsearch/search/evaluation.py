@@ -38,9 +38,11 @@ _UNIT = np.finfo(float).eps / 2
 VALUE_TOLERANCE = 1e-9
 
 # Multiple of the modelled rounding error taken as the bound.  On seeded
-# VAR data, random walks, the hostile fixtures of the property tests and
-# data scaled by 1e8 or 1e-8 or offset by 1e4, the observed
-# |screened - QR| never exceeded an eighth of the whole bound.
+# VAR data, random walks and data scaled by 1e8 or 1e-8 or offset by 1e4,
+# the observed |screened - QR| never exceeded 0.007 of the whole bound; over
+# 400 draws of the property tests' hostile generator it reached 0.169, where
+# a value near 74 was 2 ulp off and the bound was mostly the criterion's
+# rounding margin.
 _SAFETY = 8.0
 
 # Rows of Z per block of the streamed QR factor.
@@ -127,22 +129,25 @@ class CrossProductEvaluator:
 
     Every candidate of a search is fitted on the same rows, from
     ``space.common_row_start`` on, so its design X and targets Y are
-    columns of Z = [obs(t) | obs(t-1) ... obs(t-L) | 1] with
+    columns of Z = [1 | obs(t) | obs(t-1) ... obs(t-L)] with
     L = max(p_max, q_max); Z's rows and each candidate's columns of Z come
     from the lag window and the column map ``build_regression_system``
-    reads.  The triangular factor R of Z is built once; as Z = QR, the
-    columns of R for [X Y] have the same triangular factor as [X Y] itself.
-    A candidate then costs one Householder QR of its (K+n)-column slice of
-    R, which gives R_xx, R_xy and R_yy with E'E = R_yy'R_yy, so
-    ln det(E'E) = 2 sum ln |diag(R_yy)| whatever the sample size.
-    ``screen_batch`` screens a batch at once, bounds and ln det stacked over
-    equal n, and ``evaluate`` then decides its candidates one at a time.
-    ``screen_families`` screens a complete enumeration instead, which
-    ``exhaustive_search`` hands it: the candidates that share q, roles and
-    constant have designs nested in p, so one QR of the widest serves the
-    whole family.  The metaheuristics screen per candidate, as their
-    batches hold one or two lag orders of a family, and a shared factor
-    would make a candidate's screen depend on its batch-mates.
+    reads, window column c being column c + 1 of Z.  The triangular factor
+    R of Z is built once; as Z = QR, the columns of R for [X Y] have the
+    same triangular factor as [X Y] itself.  A candidate then costs one
+    Householder QR of its (K+n)-column slice of R, which gives R_xx, R_xy
+    and R_yy with E'E = R_yy'R_yy, so ln det(E'E) = 2 sum ln |diag(R_yy)|
+    whatever the sample size; with the constant first, that slice has only
+    the 1 + m (l + 1) rows that columns of largest lag l reach.
+
+    There is one screen, ``_screen_family``, one QR per family of
+    candidates whose designs are nested in p.  ``screen_families`` screens
+    the complete enumeration ``exhaustive_search`` hands it by (q, roles,
+    constant); ``screen_batch`` screens each candidate of a metaheuristic's
+    batch as a family of one, as such a batch holds about one lag order per
+    family and a shared factor would make a screen depend on batch-mates.
+    Bounds and ln det are stacked over equal n, and ``evaluate`` then
+    decides the candidates one at a time.
 
     Householder QR is backward stable column by column, so each screened
     value carries a bound on its distance from the QR value of
@@ -197,9 +202,9 @@ class CrossProductEvaluator:
                 # LAPACK's own layout, so that dgeqrf factors it in place
                 stack = np.empty((top + rows, width), order="F")
             stack[:top] = factor
+            stack[top:, 0] = 1.0
             for lag in range(max_lag + 1):
-                stack[top:, lag * m : (lag + 1) * m] = window[r0 : r0 + rows, lag]
-            stack[top:, -1] = 1.0
+                stack[top:, 1 + lag * m : 1 + (lag + 1) * m] = window[r0 : r0 + rows, lag]
             qr = lapack.dgeqrf(stack, overwrite_a=1)[0]
             factor = np.triu(qr[:width])
         self._columns = np.ascontiguousarray(factor.T)  # row j: column j of R
@@ -210,7 +215,7 @@ class CrossProductEvaluator:
 
     def screen_batch(self, batch) -> None:
         """Screen the fresh candidates ``(genome, cfg)`` of one batch at once,
-        each from its own QR of its columns of R."""
+        each as a family of one (see ``_screen``)."""
         self._screen_into(batch, self._screen)
 
     def screen_families(self, batch) -> None:
@@ -267,74 +272,29 @@ class CrossProductEvaluator:
             return True  # HQC is undefined
         return all(k is None for _, k in candidates)  # always so when T' < 1
 
-    @np.errstate(over="ignore", invalid="ignore")
     def _screen(self, candidates) -> list:
         """``(value, bound)`` from the factor for each ``(cfg, k)``, or None
-        where k is None or the factor cannot tell.
-
-        The LAPACK calls are made per candidate, the bound and ln det
-        stacked over equal n (``_bound``).
-        """
-        if len(candidates) > _HELD:
-            half = len(candidates) // 2
-            head, tail = candidates[:half], candidates[half:]
-            return self._screen(head) + self._screen(tail)
-        screens = [None] * len(candidates)
-        if self._undecidable(candidates):
-            return screens
-        width = self._columns.shape[0]  # W
-        groups = {}  # n -> [(index, k, R_yy, R_yy^-1, weights, tail rows)]
-        for index, (cfg, k) in enumerate(candidates):
-            if k is None:
-                continue
-            # X's columns of Z, the constant last, then Y's, at lag 0
-            x, y = _window_columns(cfg, self.ds.n_vars)
-            columns, n = x + [width - 1] * cfg.include_constant + y, len(y)
-            idx = np.array(columns, dtype=np.intp)
-            norms = self._norms[idx]
-            # R is upper triangular, so rows past the last selected column are zero
-            block = self._columns[idx, : max(columns) + 1].T
-            if not norms.min() > 0.0 or block.shape[0] < k + n:  # a nan norm fails
-                continue
-            # LAPACK reads only the upper triangle of each factor below
-            qr = lapack.dgeqrf(block, overwrite_a=1)[0]
-            r_xx, r_xy = qr[:k, :k], qr[:k, k : k + n]
-            r_yy = qr[k : k + n, k : k + n].copy()  # so that no group keeps qr
-            if not _full_rank(r_xx, norms[:k]):
-                continue
-            coef, _ = lapack.dtrtrs(r_xx, r_xy)
-            r_yy_inv, info = lapack.dtrtri(r_yy)
-            if info == 0:
-                weights = norms[k:] + norms[:k] @ np.abs(coef)
-                groups.setdefault(n, []).append((index, k, r_yy, r_yy_inv, weights, 0))
-        self._bound(groups, screens)
-        return screens
+        where k is None or the factor cannot tell; each candidate is a family
+        of its own."""
+        return self._screen_families(candidates, alone=True)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _screen_families(self, candidates) -> list:
-        """``_screen`` of the candidates of a complete enumeration, one QR per
-        lag-order family.
+    def _screen_families(self, candidates, alone=False) -> list:
+        """``_screen`` of a complete enumeration, one QR per family of equal
+        q, roles and constant, or with ``alone`` per distinct candidate.
 
-        The candidates with the same q, roles and constant form a family
-        whose designs are nested in p once X's columns are ordered [1,
-        exogenous lags 1..q, endogenous lags 1..p]: X of order p is the
-        leading K_p columns of the widest member's X.  One Householder QR of
-        the widest member's [X Y] therefore holds every member, as in
-        order-recursive least squares (Miller, *Subset Selection in
-        Regression*, 2002, ch. 2): R_xx and R_xy of order p are its leading
-        K_p rows, and E_p'E_p = R[K_p:, Y]'R[K_p:, Y], so a stacked QR of the
-        rows below gives each R_yy.  A screen depends on the family members
-        present, which for a complete enumeration is the space alone.
-        Families are processed in chunks of about ``_HELD`` candidates,
-        never split, so that the screens held at once stay bounded.
+        A screen depends on the family members present, which for a
+        complete enumeration is the space alone.  Families are processed in
+        chunks of about ``_HELD`` candidates, never split, so that the
+        screens held at once stay bounded.
         """
         screens = [None] * len(candidates)
         if self._undecidable(candidates):
             return screens
-        families = {}  # (q, roles, constant) -> [(index, cfg, k)]
+        families = {}  # (q, roles, constant), or the candidate -> [(index, cfg, k)]
         for index, (cfg, k) in enumerate(candidates):
             if k is not None:
-                family = (cfg.q, cfg.dependent_mask, cfg.include_constant)
+                family = cfg if alone else (cfg.q, cfg.dependent_mask, cfg.include_constant)
                 families.setdefault(family, []).append((index, cfg, k))
         groups, held = {}, 0
         for members in families.values():
@@ -348,21 +308,49 @@ class CrossProductEvaluator:
 
     def _screen_family(self, members, groups) -> None:
         """Add the screenable members ``(index, cfg, k)`` of one family to
-        ``groups`` as ``_screen`` does, from one QR of the widest.
+        ``groups`` as entries of ``_bound``, from one QR of the widest.
 
-        Every check of ``_screen`` is made per lag order: a zero or nan
-        column norm, too few rows of R, the rank test and a singular R_yy.
-        By singular-value interlacing, a column subset of X D^-1 is
-        conditioned no worse than X D^-1 itself, so one rank test of the
-        widest member at its own threshold covers every smaller order; where
-        it fails, each order takes its own test.
+        X's columns are ordered [1, exogenous lags 1..q, endogenous lags
+        1..p], so X of order p is the leading K_p columns of the widest
+        member's X.  One Householder QR of the widest member's [X Y]
+        therefore holds every member, as in order-recursive least squares
+        (Miller, *Subset Selection in Regression*, 2002, ch. 2): R_xx and
+        R_xy of order p are its leading K_p rows, and E_p'E_p = R[K_p:,
+        Y]'R[K_p:, Y], so a stacked QR of the rows below gives each R_yy.  A
+        family of one order needs no such QR: its R_yy is the factor's own.
+
+        Each order takes every check: a zero or nan column norm, too few
+        rows of R, the rank test and a singular R_yy.  By singular-value
+        interlacing, a column subset of X D^-1 is conditioned no worse than X
+        D^-1 itself, so one rank test of the widest member at its own
+        threshold covers every smaller order; where it fails, each order
+        takes its own test.
         """
-        width, rows = self._columns.shape  # W, and rows of R: min(T', W)
-        widest = max(members, key=lambda m: m[2])[1]
+        rows = self._columns.shape[1]  # of R: min(T', W)
+        _, widest, k_top = max(members, key=lambda member: member[2])
         x, y = _window_columns(widest, self.ds.n_vars)
         n, endogenous = len(y), widest.p * len(y)  # x holds the endogenous lags first
-        columns = [width - 1] * widest.include_constant + x[endogenous:] + x[:endogenous]
-        norms = self._norms[columns + y]
+        # window column c is column c + 1 of Z, whose column 0 is the constant
+        columns = [-1] * widest.include_constant + x[endogenous:] + x[:endogenous] + y
+        idx = np.array(columns, dtype=np.intp) + 1
+        norms = self._norms[idx]
+        if all(k == k_top for _, _, k in members):
+            if not norms.min() > 0.0 or k_top + n > rows:  # a nan norm fails
+                return
+            # R is upper triangular, so rows past the last selected column are
+            # zero; LAPACK reads only the upper triangle of each factor below
+            qr = lapack.dgeqrf(self._columns[idx, : idx.max() + 1].T, overwrite_a=1)[0]
+            r_xx = qr[:k_top, :k_top]
+            if not _full_rank(r_xx, norms[:k_top]):
+                return
+            coef, _ = lapack.dtrtrs(r_xx, qr[:k_top, k_top:])
+            r_yy = qr[k_top : k_top + n, k_top:].copy()  # so that no group keeps qr
+            r_yy_inv, info = lapack.dtrtri(r_yy)
+            if info == 0:
+                weights = norms[k_top:] + norms[:k_top] @ np.abs(coef)
+                entry = k_top, r_yy, r_yy_inv, weights, 0
+                groups.setdefault(n, []).extend((index, *entry) for index, _, _ in members)
+            return
         # order p needs positive norms up to its K_p-th column (a nan norm fails)
         positive = np.logical_and.accumulate(norms[:-n] > 0.0) & (norms[-n:].min() > 0.0)
         usable = [
@@ -371,9 +359,8 @@ class CrossProductEvaluator:
         if not usable:
             return
         k_top = max(k for _, k in usable)
-        columns = columns[:k_top] + y
-        idx = np.array(columns, dtype=np.intp)
-        block = self._columns[idx, : max(columns) + 1].T
+        idx = np.concatenate((idx[:k_top], idx[-n:]))
+        block = self._columns[idx, : idx.max() + 1].T
         qr = lapack.dgeqrf(block, overwrite_a=1)[0]  # its lower triangle is not R's
         norms_x, norms_y = norms[:k_top], norms[-n:]
         ranked = sorted({k for _, k in usable})  # K_p of the lag orders
@@ -416,7 +403,7 @@ class CrossProductEvaluator:
         2 u sqrt(T' + W) S, S = sum_i ||row i of R_yy^-1|| (||y_i|| +
         sum_j ||x_j|| |B_ji|) with B = R_xx^-1 R_xy the coefficients, and
         weights_i = ||y_i|| + sum_j ||x_j|| |B_ji|.  Where R_yy comes from a
-        second QR, of the m rows of R below X's (``_screen_families``), that
+        second QR, of the m rows of R below X's (``_screen_family``), that
         QR is the exact one of those rows E plus a columnwise perturbation of
         relative size about u sqrt(m); as ||e_i|| <= ||y_i||, it moves
         ln det(E'E) = ln det(R_yy'R_yy) by at most 2 u sqrt(m) S more.  The

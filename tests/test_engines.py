@@ -1,6 +1,7 @@
 """Configuration search engines: exhaustive oracle, metaheuristics, scoring."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -649,6 +650,30 @@ class TestCandidateScoring:
         assert sum(screen is not None for screen in screens) > 0
         assert evaluator._screen_families(candidates[::-1]) == screens[::-1]
 
+    def test_a_family_of_one_order_screens_as_a_lone_candidate(self, monkeypatch):
+        # p_max = 1: every (q, roles, constant) family holds one lag order,
+        # whose R_yy is the trailing block of the family's own QR, so there is
+        # no second QR and no tail term in the bound
+        ds, _ = small_space_problem()
+        space = SearchSpace(
+            p_max=1, q_max=3, partition_mode=PartitionMode.SEARCH, switchable=(2, 3)
+        )
+        tails, original = [], CrossProductEvaluator._bound
+
+        def spying(self, groups, screens):
+            tails.extend(entry[-1] for group in groups.values() for entry in group)
+            return original(self, groups, screens)
+
+        monkeypatch.setattr(CrossProductEvaluator, "_bound", spying)
+        for kind in CriterionKind:
+            evaluator = CrossProductEvaluator(ds, space, kind)
+            configs = enumerate_space(space, ds)
+            candidates = [(cfg, cfg.n_design_columns()) for cfg in configs]
+            singles = [evaluator._screen([candidate])[0] for candidate in candidates]
+            assert sum(screen is not None for screen in singles) > len(configs) // 2
+            assert evaluator._screen_families(candidates) == singles
+        assert tails and not any(tails)
+
     def test_exhaustive_search_factors_each_family_once(self, monkeypatch):
         ds, space = small_space_problem()
         configs = enumerate_space(space, ds)
@@ -897,6 +922,35 @@ class TestCandidateScoring:
         else:
             assert result.evaluations_used < budget.max_evaluations
 
+
+    @pytest.mark.parametrize("tolerance", [evaluation.VALUE_TOLERANCE, -math.inf],
+                             ids=["screened", "qr-scored"])
+    def test_peak_memory_does_not_grow_with_the_budget(self, monkeypatch, tolerance):
+        # 6 dependent and 6 switchable exogenous series, T = 500.  With no
+        # screened value accepted, QR scores every candidate, and each fit's
+        # residuals alone take T' n 8 bytes, n >= 6; a search keeps only the
+        # best fit, so 300 more candidates add their log entries but nothing
+        # like one residual column each
+        coefficients = random_stable_coefficients(n=6, p=2, d=6, q=1, radius=0.9, seed=7)
+        ds = generate(
+            GeneratorSpec(coefficients=coefficients, t=500, seed=8, exogenous="random_walk")
+        )
+        space = SearchSpace(
+            p_max=8, q_max=3, partition_mode=PartitionMode.SEARCH,
+            switchable=tuple(range(6, 12)),
+        )
+        monkeypatch.setattr(evaluation, "VALUE_TOLERANCE", tolerance)
+        peaks = {}
+        for budget in (100, 400):
+            tracemalloc.start()
+            try:
+                result = ga_search(ds, space, CriterionKind.AIC, SearchBudget(budget, budget, 3))
+                peaks[budget] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.evaluations_used == budget
+        effective_t = ds.n_obs - space.common_row_start
+        assert peaks[400] - peaks[100] < 300 * effective_t * 8
 
 class TestSeedDerivation:
     def test_deterministic(self):
