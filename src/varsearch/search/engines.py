@@ -132,10 +132,9 @@ class HybridParams:
     construction_share: float = 0.3
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.tenure < 0:
-            raise ValueError("tenure must be >= 0")
+        # the construction and the tabu phase take GRASP's and tabu's rules
+        GraspParams(alpha=self.alpha)
+        TabuParams(tenure=self.tenure)
         if not 0.0 < self.construction_share < 1.0:
             raise ValueError("construction_share must be in (0, 1)")
 

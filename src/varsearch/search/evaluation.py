@@ -266,12 +266,6 @@ class CrossProductEvaluator:
             self._intervals.add(value, value, genome, None)
         return value, fit_result
 
-    def _undecidable(self, candidates) -> bool:
-        """Whether the factor can screen none of the ``(cfg, k)``."""
-        if self.kind is CriterionKind.HQC and self.effective_t <= math.e:
-            return True  # HQC is undefined
-        return all(k is None for _, k in candidates)  # always so when T' < 1
-
     def _screen(self, candidates) -> list:
         """``(value, bound)`` from the factor for each ``(cfg, k)``, or None
         where k is None or the factor cannot tell; each candidate is a family
@@ -281,7 +275,7 @@ class CrossProductEvaluator:
     @np.errstate(over="ignore", invalid="ignore")
     def _screen_families(self, candidates, alone=False) -> list:
         """``_screen`` of a complete enumeration, one QR per family of equal
-        q, roles and constant, or with ``alone`` per distinct candidate.
+        q, roles and constant, or with ``alone`` per candidate.
 
         A screen depends on the family members present, which for a
         complete enumeration is the space alone.  Families are processed in
@@ -289,13 +283,13 @@ class CrossProductEvaluator:
         screens held at once stay bounded.
         """
         screens = [None] * len(candidates)
-        if self._undecidable(candidates):
-            return screens
-        families = {}  # (q, roles, constant), or the candidate -> [(index, cfg, k)]
+        if self.kind is CriterionKind.HQC and self.effective_t <= math.e:
+            return screens  # HQC is undefined
+        families = {}  # (q, roles, constant), or the position -> [(k, index, cfg)]
         for index, (cfg, k) in enumerate(candidates):
             if k is not None:
-                family = cfg if alone else (cfg.q, cfg.dependent_mask, cfg.include_constant)
-                families.setdefault(family, []).append((index, cfg, k))
+                family = index if alone else (cfg.q, cfg.dependent_mask, cfg.include_constant)
+                families.setdefault(family, []).append((k, index, cfg))
         groups, held = {}, 0
         for members in families.values():
             self._screen_family(members, groups)
@@ -307,90 +301,92 @@ class CrossProductEvaluator:
         return screens
 
     def _screen_family(self, members, groups) -> None:
-        """Add the screenable members ``(index, cfg, k)`` of one family to
+        """Add the screenable members ``(k, index, cfg)`` of one family to
         ``groups`` as entries of ``_bound``, from one QR of the widest.
 
         X's columns are ordered [1, exogenous lags 1..q, endogenous lags
         1..p], so X of order p is the leading K_p columns of the widest
-        member's X.  One Householder QR of the widest member's [X Y]
+        member's X.  One Householder QR of the widest usable order's [X Y]
         therefore holds every member, as in order-recursive least squares
         (Miller, *Subset Selection in Regression*, 2002, ch. 2): R_xx and
         R_xy of order p are its leading K_p rows, and E_p'E_p = R[K_p:,
-        Y]'R[K_p:, Y], so a stacked QR of the rows below gives each R_yy.  A
-        family of one order needs no such QR: its R_yy is the factor's own.
+        Y]'R[K_p:, Y].  The widest order's R_yy is the factor's own trailing
+        block; a stacked QR of the rows below gives each smaller order's.  A
+        lone candidate is a family whose widest order is all there is.
 
         Each order takes every check: a zero or nan column norm, too few
         rows of R, the rank test and a singular R_yy.  By singular-value
         interlacing, a column subset of X D^-1 is conditioned no worse than X
-        D^-1 itself, so one rank test of the widest member at its own
+        D^-1 itself, so one rank test of the widest order at its own
         threshold covers every smaller order; where it fails, each order
         takes its own test.
         """
-        rows = self._columns.shape[1]  # of R: min(T', W)
-        _, widest, k_top = max(members, key=lambda member: member[2])
+        members.sort()  # by K_p, then by position
+        widest = members[-1][2]
         x, y = _window_columns(widest, self.ds.n_vars)
         n, endogenous = len(y), widest.p * len(y)  # x holds the endogenous lags first
         # window column c is column c + 1 of Z, whose column 0 is the constant
         columns = [-1] * widest.include_constant + x[endogenous:] + x[:endogenous] + y
         idx = np.array(columns, dtype=np.intp) + 1
         norms = self._norms[idx]
-        if all(k == k_top for _, _, k in members):
-            if not norms.min() > 0.0 or k_top + n > rows:  # a nan norm fails
-                return
-            # R is upper triangular, so rows past the last selected column are
-            # zero; LAPACK reads only the upper triangle of each factor below
-            qr = lapack.dgeqrf(self._columns[idx, : idx.max() + 1].T, overwrite_a=1)[0]
-            r_xx = qr[:k_top, :k_top]
-            if not _full_rank(r_xx, norms[:k_top]):
-                return
-            coef, _ = lapack.dtrtrs(r_xx, qr[:k_top, k_top:])
-            r_yy = qr[k_top : k_top + n, k_top:].copy()  # so that no group keeps qr
-            r_yy_inv, info = lapack.dtrtri(r_yy)
-            if info == 0:
-                weights = norms[k_top:] + norms[:k_top] @ np.abs(coef)
-                entry = k_top, r_yy, r_yy_inv, weights, 0
-                groups.setdefault(n, []).extend((index, *entry) for index, _, _ in members)
+        reach = self._columns.shape[1] - n  # order p needs K_p + n of R's min(T', W) rows
+        if not norms.min() > 0.0:
+            # order p needs positive norms up to its K_p-th column (a nan norm fails)
+            positive = np.logical_and.accumulate(norms[:-n] > 0.0) & (norms[-n:].min() > 0.0)
+            reach = min(reach, int(positive.sum()))
+        orders = {}  # K_p -> positions, in ascending K_p
+        for k, index, _ in members:
+            if k <= reach:
+                orders.setdefault(k, []).append(index)
+        if not orders:
             return
-        # order p needs positive norms up to its K_p-th column (a nan norm fails)
-        positive = np.logical_and.accumulate(norms[:-n] > 0.0) & (norms[-n:].min() > 0.0)
-        usable = [
-            (index, k) for index, _, k in members if positive[k - 1] and k + n <= rows
-        ]
-        if not usable:
-            return
-        k_top = max(k for _, k in usable)
-        idx = np.concatenate((idx[:k_top], idx[-n:]))
-        block = self._columns[idx, : idx.max() + 1].T
-        qr = lapack.dgeqrf(block, overwrite_a=1)[0]  # its lower triangle is not R's
-        norms_x, norms_y = norms[:k_top], norms[-n:]
-        ranked = sorted({k for _, k in usable})  # K_p of the lag orders
-        if not _full_rank(qr[:k_top, :k_top], norms_x):
-            ranked = [k for k in ranked if _full_rank(qr[:k, :k], norms_x[:k])]
+        ranked = list(orders)
+        k_top = ranked[-1]
+        if k_top + n < len(columns):  # the widest member cannot be screened
+            columns = columns[:k_top] + columns[-n:]
+            idx = np.concatenate((idx[:k_top], idx[-n:]))
+        # R is upper triangular, so its rows past the last selected column, Z
+        # column max(columns) + 1, are zero; LAPACK reads only the upper
+        # triangle of each factor below
+        qr = lapack.dgeqrf(self._columns[idx, : max(columns) + 2].T, overwrite_a=1)[0]
+        norms_x, norms_y, r_xx = norms[:k_top], norms[-n:], qr[:k_top, :k_top]
+        if not _full_rank(r_xx, norms_x):
+            ranked = [k for k in ranked[:-1] if _full_rank(qr[:k, :k], norms_x[:k])]
             if not ranked:
                 return
+            r_xx, norms_x = qr[: ranked[-1], : ranked[-1]], norms_x[: ranked[-1]]
         # B_p = R_xx^-1 R_xy of order p, R_xx a leading block of the widest
         # ranked order's, solves that triangle with R_xy's rows from K_p on zeroed
-        k_solve, ks = ranked[-1], np.array(ranked)
-        leading = np.arange(k_solve)[:, None] < ks
-        rhs = qr[:k_solve, None, k_top:] * leading[:, :, None]
-        coef, _ = lapack.dtrtrs(qr[:k_solve, :k_solve], rhs.reshape(k_solve, -1))
-        weights = norms_y + (norms_x[:k_solve] @ np.abs(coef)).reshape(len(ks), n)
-        # order p's rows of R below X's, zero-padded, with the Householder
-        # vectors under the diagonal of Y's last n rows zeroed
-        tail_rows = k_top + n - ks
-        below = np.zeros((k_top + n + tail_rows[0], n))
-        below[: k_top + n] = qr[: k_top + n, k_top:]
-        for j in range(n - 1):
-            below[k_top + j + 1 : k_top + n, j] = 0.0
-        r_yy = np.linalg.qr(below[ks[:, None] + np.arange(tail_rows[0])], mode="r")
-        entries = {}  # K_p -> (R_yy, R_yy^-1, weights, tail rows)
-        for k, r, w, m in zip(ranked, r_yy, weights, tail_rows):
-            r_inv, info = lapack.dtrtri(r)
+        k_solve = ranked[-1]
+        rhs = qr[:k_solve, k_top:]
+        if len(ranked) > 1:
+            leading = np.arange(k_solve)[:, None] < np.array(ranked)
+            rhs = (rhs[:, None] * leading[:, :, None]).reshape(k_solve, -1)
+        coef, _ = lapack.dtrtrs(r_xx, rhs)
+        weights = norms_y + (norms_x @ np.abs(coef)).reshape(len(ranked), n)
+        # order p's R_yy: K_top's, where it is ranked, is the factor's own
+        # trailing block; a smaller order's comes from one stacked QR of its
+        # rows of R below X's, zero-padded, with the Householder vectors under
+        # the diagonal of Y's last n rows zeroed, and its bound takes those
+        # rows as a tail term
+        r_yy, tails = [], []
+        smaller = ranked[:-1] if k_solve == k_top else ranked
+        if smaller:
+            ks = np.array(smaller)
+            tails = (k_top + n - ks).tolist()
+            below = np.zeros((k_top + n + tails[0], n))
+            below[: k_top + n] = qr[: k_top + n, k_top:]
+            for j in range(n - 1):
+                below[k_top + j + 1 : k_top + n, j] = 0.0
+            r_yy = list(np.linalg.qr(below[ks[:, None] + np.arange(tails[0])], mode="r"))
+        if k_solve == k_top:
+            r_yy.append(qr[k_top : k_top + n, k_top:].copy())  # so that no group keeps qr
+            tails.append(0)
+        for i, k in enumerate(ranked):
+            r_inv, info = lapack.dtrtri(r_yy[i])
             if info == 0:
-                entries[k] = r, r_inv, w, m
-        for index, k in usable:
-            if k in entries:
-                groups.setdefault(n, []).append((index, k, *entries[k]))
+                entry = k, r_yy[i], r_inv, weights[i], tails[i]
+                groups.setdefault(n, []).extend((index, *entry) for index in orders[k])
 
     def _bound(self, groups, screens) -> None:
         """Set ``screens[index]`` to ``(value, bound)`` for each entry ``(index,
@@ -402,22 +398,24 @@ class CrossProductEvaluator:
         width of Z.  To first order that moves ln det(E'E) by at most
         2 u sqrt(T' + W) S, S = sum_i ||row i of R_yy^-1|| (||y_i|| +
         sum_j ||x_j|| |B_ji|) with B = R_xx^-1 R_xy the coefficients, and
-        weights_i = ||y_i|| + sum_j ||x_j|| |B_ji|.  Where R_yy comes from a
-        second QR, of the m rows of R below X's (``_screen_family``), that
-        QR is the exact one of those rows E plus a columnwise perturbation of
-        relative size about u sqrt(m); as ||e_i|| <= ||y_i||, it moves
-        ln det(E'E) = ln det(R_yy'R_yy) by at most 2 u sqrt(m) S more.  The
-        rounding of E'E in the QR value is added, the sum is multiplied by
+        weights_i = ||y_i|| + sum_j ||x_j|| |B_ji|.  A smaller order of a
+        family takes R_yy from a second QR, of the m tail rows of R below its
+        X's (``_screen_family``), which is the exact one of those rows E plus
+        a columnwise perturbation of relative size about u sqrt(m); as
+        ||e_i|| <= ||y_i||, it moves ln det(E'E) = ln det(R_yy'R_yy) by at
+        most 2 u sqrt(m) S more.  The widest order takes R_yy from the
+        family's own factor, so no second QR runs and m is 0.  The rounding
+        of E'E in the QR value is added, the sum is multiplied by
         ``_SAFETY``, and the rounding of the criterion itself is added last.
         """
-        t, width = self.effective_t, self._columns.shape[0]  # T', W
+        t = self.effective_t  # T'; W is read only for a group, as T' < 1 builds no R
         for n, group in groups.items():
             indices, ks, r_yy, r_yy_inv, weights, tails = zip(*group)
             r_yy, r_yy_inv = np.triu(np.stack(r_yy)), np.triu(np.stack(r_yy_inv))
             sensitivity = np.sum(np.linalg.norm(r_yy_inv, axis=2) * weights, axis=1)
             v = np.linalg.norm(r_yy, axis=1)[:, :, None] * r_yy_inv
             v_norm = np.linalg.norm(v @ np.swapaxes(v, 1, 2), axis=(1, 2))
-            perturbation = math.sqrt(t + width) + np.sqrt(tails)
+            perturbation = math.sqrt(t + self._columns.shape[0]) + np.sqrt(tails)
             bounds = _SAFETY * _UNIT * (
                 2.0 * perturbation * sensitivity + math.sqrt(t) * v_norm
             )

@@ -569,6 +569,12 @@ class TestParamValidation:
             HybridParams(construction_share=0.0)
         with pytest.raises(ValueError):
             HybridParams(construction_share=1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            HybridParams(alpha=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            HybridParams(alpha=1.5)
+        with pytest.raises(ValueError, match="tenure"):
+            HybridParams(tenure=-1)
 
 
 class TestCandidateScoring:
@@ -673,6 +679,45 @@ class TestCandidateScoring:
             assert sum(screen is not None for screen in singles) > len(configs) // 2
             assert evaluator._screen_families(candidates) == singles
         assert tails and not any(tails)
+
+    @pytest.mark.parametrize("problem", [small_space_problem, random_walk_problem])
+    def test_the_widest_order_of_a_family_takes_r_yy_from_its_own_factor(
+        self, problem, monkeypatch
+    ):
+        # the widest screened order of each family reads R_yy from the family's
+        # factor, with no second QR and so no tail term, and screens as it
+        # does alone; each smaller order's tail is the K_top + n - K_p rows
+        # of R below its X
+        ds, space = problem()
+        entries, original = {}, CrossProductEvaluator._bound
+
+        def spying(self, groups, screens):
+            for n, group in groups.items():
+                entries.update((entry[0], (n, entry[1], entry[-1])) for entry in group)
+            return original(self, groups, screens)
+
+        monkeypatch.setattr(CrossProductEvaluator, "_bound", spying)
+        configs = enumerate_space(space, ds)
+        candidates = [(cfg, cfg.n_design_columns()) for cfg in configs]
+        for kind in CriterionKind:
+            evaluator = CrossProductEvaluator(ds, space, kind)
+            entries.clear()
+            screens = evaluator._screen_families(candidates)
+            families = {}
+            for index, (n, k, tail) in entries.items():
+                cfg = configs[index]
+                family = (cfg.q, cfg.dependent_mask, cfg.include_constant)
+                families.setdefault(family, []).append((k, tail, n, index))
+            assert any(len(members) > 1 for members in families.values())
+            for members in families.values():
+                k_top, tail, n, index = max(members)
+                assert tail == 0
+                assert all(t == k_top + n - k for k, t, _, _ in members if k < k_top)
+                single = evaluator._screen([candidates[index]])[0]
+                assert (screens[index] is None) == (single is None)
+                if single is not None:
+                    assert screens[index][0] == single[0]
+                    assert screens[index][1] == pytest.approx(single[1], rel=1e-15)
 
     def test_exhaustive_search_factors_each_family_once(self, monkeypatch):
         ds, space = small_space_problem()
