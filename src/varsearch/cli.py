@@ -244,16 +244,16 @@ def _model_config(args, ds) -> ModelConfig:
 
 
 def _load_and_fit(args):
-    """The dataset, configuration and least-squares fit of fit and forecast."""
+    """The dataset, criterion, configuration and fit of fit and forecast."""
     ds = load_dataset(args.input, args.dependent, args.independent)
-    CriterionKind.from_string(args.criterion)
+    kind = CriterionKind.from_string(args.criterion)
     cfg = _model_config(args, ds)
-    return ds, cfg, fit(ds, cfg)
+    return ds, kind, cfg, fit(ds, cfg)
 
 
 def _cmd_fit(args) -> int:
-    ds, _, result = _load_and_fit(args)
-    settings = _settings(args, "input", "criterion", "p", "q")
+    ds, kind, _, result = _load_and_fit(args)
+    settings = _settings(args, "input", "p", "q", criterion=kind.value)
     return _emit(args, result, settings, ds.names)
 
 
@@ -351,7 +351,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    ds, cfg, result = _load_and_fit(args)
+    ds, kind, cfg, result = _load_and_fit(args)
     future_z = None
     if args.future_input:
         indep_names = [ds.names[i] for i in cfg.independent_indices]
@@ -359,8 +359,9 @@ def _cmd_forecast(args) -> int:
     values = forecast(ds, result, args.horizon, future_z)
     dep_names = tuple(ds.names[i] for i in cfg.dependent_indices)
     report = ForecastReport(values=values, columns=dep_names, horizon=args.horizon)
-    flags = ("input", "criterion", "p", "q", "horizon", "future_input")
-    return _emit(args, report, _settings(args, *flags), ds.names, (dep_names, values))
+    flags = ("input", "p", "q", "horizon", "future_input")
+    settings = _settings(args, *flags, criterion=kind.value)
+    return _emit(args, report, settings, ds.names, (dep_names, values))
 
 
 def cli_main(argv=None) -> int:

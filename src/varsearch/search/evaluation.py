@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 
 import numpy as np
 
@@ -96,30 +97,25 @@ class _Intervals:
     """
 
     def __init__(self):
-        self.lows = []
-        self.highs = []
-        self.entries = []  # (genome, cfg); cfg is None for a QR point
+        self.entries = []  # (low, high, genome, cfg) by low; cfg is None for a QR point
 
     def meets(self, low: float, high: float) -> bool:
-        i = bisect.bisect_left(self.lows, low)
-        if i > 0 and self.highs[i - 1] >= low:
+        entries = self.entries
+        i = bisect.bisect_left(entries, low, key=operator.itemgetter(0))
+        if i > 0 and entries[i - 1][1] >= low:
             return True
-        return i < len(self.lows) and self.lows[i] <= high
+        return i < len(entries) and entries[i][0] <= high
 
     def add(self, low: float, high: float, genome, cfg) -> None:
-        i = bisect.bisect_right(self.lows, low)
-        self.lows.insert(i, low)
-        self.highs.insert(i, high)
-        self.entries.insert(i, (genome, cfg))
+        bisect.insort_right(self.entries, (low, high, genome, cfg), key=operator.itemgetter(0))
 
     def pop_screened_containing(self, value: float):
-        """Remove and return the screened entries whose interval holds value."""
-        found = []
-        i = bisect.bisect_right(self.lows, value) - 1
-        while i >= 0 and self.highs[i] >= value:
-            if self.entries[i][1] is not None:
-                found.append(self.entries[i])
-                del self.lows[i], self.highs[i], self.entries[i]
+        """Remove and return ``(genome, cfg)`` of each screened entry holding value."""
+        found, entries = [], self.entries
+        i = bisect.bisect_right(entries, value, key=operator.itemgetter(0)) - 1
+        while i >= 0 and entries[i][1] >= value:
+            if entries[i][3] is not None:
+                found.append(entries.pop(i)[2:])
             i -= 1
         return found
 

@@ -324,13 +324,14 @@ def contract_files(tmp_path):
 # (argv with {data}/{future} placeholders, the exact settings recorded).
 # The settings are the flags as given, ``constant``, the sorted role lists
 # where the command has role flags, and the values the command resolved
-# (canonical criterion and method for select and the coefficient commands,
-# the budget default, simulate's q); fit and forecast keep --criterion raw.
+# (the canonical criterion of every command that takes one, the canonical
+# method of select and the coefficient commands, the budget default,
+# simulate's q).
 _CONTRACT_CASES = {
     "fit": (
         "fit --input {data} --p 1 --criterion BIC --dependent y2 --dependent y1",
         {
-            "input": "{data}", "criterion": "BIC", "p": 1, "q": 0,
+            "input": "{data}", "criterion": "bic", "p": 1, "q": 0,
             "constant": True, "dependent": ["y1", "y2"], "independent": [],
         },
     ),
@@ -384,7 +385,7 @@ _CONTRACT_CASES = {
         "forecast --input {data} --p 1 --criterion Hqc --horizon 2 "
         "--dependent y1 --dependent y2",
         {
-            "input": "{data}", "criterion": "Hqc", "p": 1, "q": 0,
+            "input": "{data}", "criterion": "hqc", "p": 1, "q": 0,
             "horizon": 2, "constant": True, "future_input": None,
             "dependent": ["y1", "y2"], "independent": [],
         },
@@ -402,7 +403,7 @@ _CONTRACT_CASES = {
 
 # the literal settings line of each case's human report
 _CONTRACT_LINES = {
-    "fit": "settings: constant=True, criterion=BIC, dependent=['y1', 'y2'], "
+    "fit": "settings: constant=True, criterion=bic, dependent=['y1', 'y2'], "
     "independent=[], input={data}, p=1, q=0",
     "select-exhaustive": "settings: budget=None, constant=False, criterion=hqc, "
     "dependent=[], independent=['z'], input={data}, method=exhaustive, "
@@ -418,7 +419,7 @@ _CONTRACT_LINES = {
     "seed=0, stagnation=200",
     "simulate": "settings: burn_in=100, constant=True, n_exog=1, n_vars=2, "
     "noise=0.5, p=1, q=1, radius=0.9, seed=4, t=30",
-    "forecast": "settings: constant=True, criterion=Hqc, dependent=['y1', 'y2'], "
+    "forecast": "settings: constant=True, criterion=hqc, dependent=['y1', 'y2'], "
     "future_input=None, horizon=2, independent=[], input={data}, p=1, q=0",
     "forecast-future": "settings: constant=True, criterion=aic, "
     "dependent=['y1'], future_input={future}, horizon=2, independent=[], "

@@ -263,6 +263,30 @@ class TestReadPaths:
         assert names == ("a", "b")
         np.testing.assert_array_equal(back, [[1.0, 2.0], [3.0, 4.5]])
 
+    def _rejected_after_loadtxt(self, tmp_path, text, error, match):
+        """The error of a plain file that ``np.loadtxt`` parses but the result
+        check turns over to the line-by-line parser."""
+        target = tmp_path / "data.csv"
+        target.write_text(text, encoding="ascii")
+        with mock.patch.object(csvio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            with mock.patch.object(csvio, "_parse", wraps=csvio._parse) as parse_:
+                with pytest.raises(error, match=match) as excinfo:
+                    read_matrix_csv(target)
+        assert (loadtxt.call_count, parse_.call_count) == (1, 1)
+        return excinfo.value
+
+    def test_plain_rows_wider_than_the_header_are_ragged(self, tmp_path):
+        text = "a,b\n1,2,3\n4,5,6\n"
+        exc = self._rejected_after_loadtxt(
+            tmp_path, text, RaggedRowError, "row 2 has 3 cells, expected 2"
+        )
+        assert (exc.row, exc.expected, exc.found) == (2, 2, 3)
+
+    def test_plain_overflowing_cell_is_non_numeric(self, tmp_path):
+        text = "a,b\n1,2\n3,1e999\n"
+        exc = self._rejected_after_loadtxt(tmp_path, text, NonNumericCellError, "'1e999'")
+        assert (exc.row, exc.column, exc.text) == (3, "b", "1e999")
+
 
 # finite doubles, with the edges of the range written out
 EDGE_VALUES = [

@@ -786,6 +786,37 @@ class TestCandidateScoring:
         assert not intervals.meets(2.5, 3.0)
         assert not intervals.meets(-1.0, -0.5)
 
+    def test_intervals_at_equal_lows_touching_ends_and_qr_points(self):
+        intervals = evaluation._Intervals()
+        intervals.add(1.0, 2.0, 1, "c1")  # screened
+        intervals.add(2.5, 2.5, 2, None)  # a QR point
+        intervals.add(3.0, 4.0, 3, "c3")
+        # an interval meets an entry it only touches, at either end
+        assert intervals.meets(2.0, 2.2) and intervals.meets(0.0, 1.0)
+        assert intervals.meets(2.6, 3.0) and intervals.meets(4.0, 5.0)
+        assert intervals.meets(2.5, 2.5) and intervals.meets(2.2, 2.5)
+        assert not intervals.meets(2.1, 2.4) and not intervals.meets(4.1, 5.0)
+        assert not intervals.meets(0.0, 0.9)
+        # a QR point at a screened low goes after it and is never popped
+        intervals.add(3.0, 3.0, 4, None)
+        assert intervals.pop_screened_containing(3.0) == [(3, "c3")]
+        assert intervals.pop_screened_containing(3.0) == []
+        assert intervals.meets(3.0, 3.0) and not intervals.meets(3.1, 5.0)
+        # a touching high end holds the value
+        assert intervals.pop_screened_containing(2.0) == [(1, "c1")]
+        assert not intervals.meets(1.0, 2.0)
+        # equal lows keep their insertion order, and the walk leftwards
+        # stops at the first entry whose high is below the value
+        intervals.add(5.0, 6.0, 5, "c5")
+        intervals.add(5.0, 7.0, 6, "c6")
+        intervals.add(5.0, 5.0, 7, None)
+        intervals.add(8.0, 8.0, 8, None)
+        assert intervals.pop_screened_containing(9.0) == []
+        assert intervals.pop_screened_containing(5.0) == [(6, "c6"), (5, "c5")]
+        intervals.add(0.0, 10.0, 9, "c9")
+        assert intervals.pop_screened_containing(2.6) == []
+        assert intervals.pop_screened_containing(0.5) == [(9, "c9")]
+
     def test_hqc_at_two_rows_matches_a_qr_only_search(self):
         # T' = 2 < e: HQC is undefined for every candidate, so the screen
         # must leave them all to QR rather than raise
@@ -861,6 +892,42 @@ class TestCandidateScoring:
         candidates = [(c, c.n_design_columns()) for c in configs]
         family_screens = dict(zip(configs, evaluator._screen_families(candidates)))
         assert family_screens[cfg] is None
+        assert_same_as_qr(exhaustive_search, ds, space, kind)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_every_order_of_a_deficient_family_takes_the_rank_test(self, seed, kind):
+        # z2 = z1 + delta v as above, with v orthogonal over the common rows
+        # to the targets and to every column a q = 1 design of p <= 3 holds:
+        # every order of that family is rank deficient to pivoted QR (ratio
+        # 9e-11), so the widest fails the condition test; screened unchecked,
+        # the smaller orders' bounds would accept their values, so each
+        # order's own condition test must send it to QR
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=60)
+        z1 = np.cumsum(rng.normal(size=60))
+        rows = np.arange(3, 60)
+        held = [np.ones(57), z1[rows - 1]] + [y[rows - lag] for lag in range(4)]
+        held = np.column_stack(held)
+        v = rng.normal(size=57)
+        v -= held @ np.linalg.lstsq(held, v, rcond=None)[0]
+        z2 = z1.copy()
+        z2[rows - 1] += 9e-11 * np.linalg.norm(z1[rows - 1]) / np.linalg.norm(v) * v
+        ds = make_dataset(
+            np.column_stack([y, z1, z2]),
+            roles=(Role.DEPENDENT, Role.INDEPENDENT, Role.INDEPENDENT),
+        )
+        space = SearchSpace(p_max=3, q_max=1)
+        configs = enumerate_space(space, ds)
+        evaluator = CrossProductEvaluator(ds, space, kind)
+        candidates = [(c, c.n_design_columns()) for c in configs]
+        screens = evaluator._screen_families(candidates)
+        assert [c.p for c in configs if c.q == 1] == [1, 2, 3]
+        for cfg, screen in zip(configs, screens):
+            if cfg.q == 1:
+                qr_value = evaluate_config(ds, cfg, kind, space.common_row_start)
+                assert qr_value == (math.inf, None)
+                assert screen is None
         assert_same_as_qr(exhaustive_search, ds, space, kind)
 
     def test_qr_value_inside_a_screened_interval_refits_it(self, monkeypatch):

@@ -92,6 +92,22 @@ class TestMachineFormat:
         plain = json.loads(raw, parse_constant=reject_bare_token)
         assert plain["result"]["criteria"]["aic"] == {"$float": "-Infinity"}
 
+    def test_every_non_finite_float_is_wrapped_and_revived(self, counting_fit):
+        ds, result = counting_fit
+        run = RunConfig(
+            command="fit", settings={"a": math.nan, "b": math.inf, "c": -math.inf}
+        )
+        raw = write_report(result, "json", run, names=ds.names)
+        plain = json.loads(raw)["run"]["settings"]
+        assert plain == {
+            "a": {"$float": "NaN"},
+            "b": {"$float": "Infinity"},
+            "c": {"$float": "-Infinity"},
+        }
+        settings = parse_report(raw)["run"]["settings"]
+        assert math.isnan(settings["a"])
+        assert (settings["b"], settings["c"]) == (math.inf, -math.inf)
+
     def test_nan_revival(self):
         assert math.isnan(parse_report('{"x": {"$float": "NaN"}}')["x"])
         assert parse_report('{"x": {"$float": "Infinity"}}')["x"] == math.inf
