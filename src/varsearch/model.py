@@ -224,7 +224,7 @@ class FitResult:
     """Everything produced by one least-squares fit.
 
     ``sigma`` is the ML residual covariance (divisor T').  ``degenerate``
-    marks a perfect fit whose criterion values are -inf.
+    marks a perfect fit or a singular ``sigma``; its criterion values are -inf.
     """
 
     config: ModelConfig

@@ -467,17 +467,12 @@ class _SearchRun(_Run):
         return start, dimensions + [set_bit(i) for i in range(space.n_bits)]
 
     def finalize(self, method: str) -> SearchResult:
-        if self.best_key is None:
-            raise EmptySpaceError("no candidate could be evaluated")
-        best_fit = self.best
-        if best_fit is None:
-            raise EmptySpaceError(
-                "no valid configuration found within the evaluation budget"
-            )
+        if self.best is None:
+            raise EmptySpaceError("no valid configuration found within the evaluation budget")
         skipped = sum(1 for _, v in self.candidate_log if math.isinf(v) and v > 0)
         return SearchResult(
-            best_config=best_fit.config,
-            best_fit=best_fit,
+            best_config=self.best.config,
+            best_fit=self.best,
             best_value=self.best_key[0],
             evaluations_used=self.evaluations_used,
             trajectory=list(self.trajectory),

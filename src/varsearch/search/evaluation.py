@@ -19,7 +19,7 @@ import operator
 import numpy as np
 
 from .._lapack import flapack as lapack
-from ..criteria import CriterionKind, criterion_from_log_det
+from ..criteria import _UNIT, CriterionKind, criterion_from_log_det
 from ..design import _lag_window, _window_columns
 from ..errors import NumericOverflowError, RankDeficientError, ValidationError
 from ..model import ModelConfig, TimeSeriesDataset, structural_violations
@@ -31,9 +31,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-# unit roundoff of float64
-_UNIT = np.finfo(float).eps / 2
 
 # A screened value whose error bound exceeds this is certified by QR.
 VALUE_TOLERANCE = 1e-9
@@ -422,7 +419,10 @@ class CrossProductEvaluator:
                 # This test also sends every perfect fit to QR: row i of R_yy^-1
                 # holds 1 / |r_ii| >= 1 / ||R_yy||_F, so S >= ||Y||_F / ||R_yy||_F,
                 # and ||R_yy||_F <= 2 DEGENERATE_RTOL ||Y||_F, twice QR's snap
-                # threshold, gives S >= 5e11 and a bound above 1e-3.
+                # threshold, gives S >= 5e11 and a bound above 1e-3.  So does a
+                # Sigma that criteria._log_det_symmetric calls singular: as ||e_i||
+                # <= weights_i, S >= ||D R_yy^-1||_F >= 1 / (n rcond(R_yy D^-1)),
+                # D = diag(||e_i||), above 3e5 for rcond^2 <= 64 n u and n <= 10.
                 if bound <= VALUE_TOLERANCE:
                     value = criterion_from_log_det(self.kind, log_det, n * k, t)
                     margin = 8.0 * _UNIT * (abs(value) + abs(log_det) + n)

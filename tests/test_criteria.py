@@ -28,8 +28,24 @@ class TestLogDetCov:
         assert log_det_cov(np.zeros((2, 2))) == -math.inf
 
     def test_singular_matrix_is_minus_infinity(self):
+        # Cholesky fails on this one
         sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
         assert log_det_cov(sigma) == -math.inf
+        # E'E / T' of an exactly rank-one E is singular whatever the units:
+        # Cholesky fails on some of these draws, and the rank test calls the
+        # rest singular; a well-conditioned Sigma under the same units only
+        # shifts by 2 sum ln d_i
+        rng = np.random.default_rng(19)
+        regular = np.array([[2.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 0.5]])
+        for d in ([1.0, 1.0, 1.0], [1e8, 1.0, 1e-8], [2.0**30] * 3):
+            d = np.array(d)
+            for _ in range(20):
+                e = np.outer(rng.normal(size=50), rng.normal(size=3)) * d
+                assert log_det_cov(e.T @ e / 50) == -math.inf
+            shift = 2.0 * np.sum(np.log(d))
+            got = log_det_cov(regular * np.outer(d, d))
+            want = log_det_cov(regular) + shift
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_asymmetric_input_raises(self):
         with pytest.raises(ValueError):
@@ -44,7 +60,7 @@ class TestLogDetCov:
         # the fit scores through _log_det_symmetric on the Sigma it has
         # already symmetrised and checked as finite
         rng = np.random.default_rng(12)
-        paths = {"cholesky": 0, "eigenvalues": 0}
+        paths = {"factored": 0, "failed": 0}
         for n in range(1, 7):
             for scale in (1e-8, 1.0, 1e8):
                 a = rng.normal(size=(n + 4, n)) * scale
@@ -56,9 +72,9 @@ class TestLogDetCov:
                     sym = 0.5 * (sigma + sigma.T)
                     try:
                         np.linalg.cholesky(sym)
-                        paths["cholesky"] += 1
+                        paths["factored"] += 1
                     except np.linalg.LinAlgError:
-                        paths["eigenvalues"] += 1
+                        paths["failed"] += 1
                     expected = np.float64(log_det_cov(sym))
                     got = np.float64(criteria._log_det_symmetric(sym))
                     assert got.tobytes() == expected.tobytes()

@@ -73,6 +73,26 @@ def random_walk_problem():
     return ds, space
 
 
+def rank_one_drive(scale, noise=0.0):
+    """y(t) = A y(t-1) + B z(t-1) + c (+ noise), B of rank one, z a random walk.
+
+    Without noise the residuals of every design that lacks lag 1 of z have
+    rank one, so their covariance is singular in exact arithmetic.
+    """
+    rng = np.random.default_rng(6)
+    a = np.array([[0.5, 0.2], [-0.3, 0.4]])
+    b = np.array([[1.0, -0.5]])
+    obs = np.zeros((40, 3))
+    obs[:, 2] = np.cumsum(rng.normal(size=40))
+    obs[0, :2] = rng.normal(size=2)
+    shocks = noise * rng.normal(size=(40, 2))
+    for t in range(1, 40):
+        obs[t, :2] = obs[t - 1, :2] @ a + obs[t - 1, 2:] @ b + [0.3, -0.1] + shocks[t]
+    return make_dataset(
+        obs * scale, roles=(Role.DEPENDENT, Role.DEPENDENT, Role.INDEPENDENT)
+    )
+
+
 class TestExhaustive:
     def test_singleton_space(self):
         ds = make_dataset(np.random.default_rng(0).normal(size=(30, 1)))
@@ -859,6 +879,32 @@ class TestCandidateScoring:
                 assert family_screens[cfg] is None
         assert perfect >= 2
         assert_same_as_qr(exhaustive_search, ds, space, kind)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_answers_do_not_depend_on_units(self, noise):
+        # a singular residual covariance is -inf at every scale, and every
+        # other value shifts by n ln s^2, so a fixed partition keeps its winner
+        space = SearchSpace(p_max=2, q_max=2)
+        base = exhaustive_search(rank_one_drive(1.0, noise), space, CriterionKind.AIC)
+        singular = {cfg for cfg, value in base.candidate_log if value == -math.inf}
+        assert bool(singular) == (noise == 0.0)
+        for scale in (1e8, 1e-8, 2.0**30, 2.0**-30, 3.7):
+            result = exhaustive_search(
+                rank_one_drive(scale, noise), space, CriterionKind.AIC
+            )
+            assert result.best_config == base.best_config
+            assert {
+                cfg for cfg, value in result.candidate_log if value == -math.inf
+            } == singular
+            shift = 2 * math.log(scale**2)
+            for (cfg, value), (want_cfg, want) in zip(
+                result.candidate_log, base.candidate_log
+            ):
+                assert cfg == want_cfg
+                if math.isfinite(want):
+                    assert value == pytest.approx(want + shift, rel=0.0, abs=1e-9)
+                else:
+                    assert value == want
 
     @pytest.mark.parametrize("kind", list(CriterionKind))
     def test_near_duplicate_exogenous_columns_are_scored_by_qr(self, kind):

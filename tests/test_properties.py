@@ -162,6 +162,31 @@ def test_engines_match_qr_only_search(problem):
         assert_same_as_qr(search, ds, space, kind, budget)
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problems(), st.integers(-30, 30))
+def test_fixed_partition_answers_do_not_depend_on_units(problem, k):
+    # scaling every column by s = 2^k shifts every value by n ln s^2, so
+    # the winner and the candidates scored -inf stay
+    ds, space, kind, _ = problem
+    space = SearchSpace(
+        p_max=space.p_max, q_max=space.q_max, include_constant=space.include_constant
+    )
+    scaled = TimeSeriesDataset(ds.observations * 2.0**k, ds.names, ds.roles)
+    want = _outcome(exhaustive_search, ds, space, kind)
+    got = _outcome(exhaustive_search, scaled, space, kind)
+    if isinstance(want, VarsearchError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.best_config == want.best_config
+    for (cfg, a), (want_cfg, b) in zip(got.candidate_log, want.candidate_log):
+        assert cfg == want_cfg
+        if math.isfinite(b):
+            shift = cfg.n_dependent * k * math.log(4.0)
+            assert a == pytest.approx(b + shift, rel=0.0, abs=LOG_TOLERANCE)
+        else:
+            assert a == b
+
+
 @st.composite
 def coefficient_problems(draw):
     """A small configuration, its data, a criterion, a budget and GA settings."""
