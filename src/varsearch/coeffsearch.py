@@ -40,7 +40,7 @@ from .ols import (
     _criterion_map,
     _fit_system,
     _residual_log_det,
-    _y_norm,
+    _snap_limits,
     solve_least_squares,
     unflatten_coefficients,
 )
@@ -141,6 +141,11 @@ class CoeffSearchParams:
 
 @dataclass
 class CoeffSearchOutcome:
+    """The best candidate of one search, as ``coefficients`` and flattened as
+    ``theta``, its criterion ``value``, the ``evaluations_used`` (fitness
+    calls), the ``trajectory`` of (evaluation, best value) at each
+    improvement, the ``method`` and ``criterion`` names and the ``config``."""
+
     coefficients: CoefficientSet
     theta: np.ndarray
     value: float
@@ -149,9 +154,6 @@ class CoeffSearchOutcome:
     method: str = ""
     criterion: str = ""
     config: ModelConfig = None
-    # the searched regression system; compare_with_ols fits least squares
-    # and scores the search's coefficients under every criterion on it
-    _problem: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -195,7 +197,7 @@ class _CoeffProblem:
         self.system = build_regression_system(ds, cfg, row_start=common_row_start)
         self.kind = kind
         self.n_theta = self.system.n_columns * self.system.n_dependent
-        self._y_norm = _y_norm(self.system)
+        self._snap_limits = _snap_limits(self.system)
         y_scale = float(np.linalg.norm(self.system.y, axis=0).max())
         x_scale = float(np.linalg.norm(self.system.x, axis=0).max())
         scale = y_scale / x_scale if x_scale > 0 and y_scale > 0 else 1.0
@@ -205,7 +207,7 @@ class _CoeffProblem:
     def _log_det(self, theta: np.ndarray) -> float:
         sysm = self.system
         coef = theta.reshape(sysm.n_columns, sysm.n_dependent)
-        return _residual_log_det(sysm, coef, self._y_norm)[2]
+        return _residual_log_det(sysm, coef, self._snap_limits)[2]
 
     def fitness(self, theta: np.ndarray) -> float:
         """Criterion value; +inf for non-finite residuals, -inf for a perfect fit."""
@@ -357,6 +359,26 @@ _COEFF_ENGINES = {
 }
 
 
+def _search(ds, cfg, kind, method, budget, params):
+    """Run one continuous engine; returns the outcome and the problem searched."""
+    if method not in _COEFF_ENGINES:
+        raise VarsearchError(f"method {method.value!r} does not search coefficient space")
+    params = params or CoeffSearchParams()
+    problem = _CoeffProblem(ds, cfg, kind)
+    run = _CoeffRun(budget, problem, params).drive(_COEFF_ENGINES[method], params)
+    theta = np.array(run.best, dtype=float)
+    return CoeffSearchOutcome(
+        coefficients=unflatten_coefficients(theta, cfg, ds),
+        theta=theta,
+        value=run.best_key,
+        evaluations_used=run.evaluations_used,
+        trajectory=list(run.trajectory),
+        method=method.value,
+        criterion=kind.value,
+        config=cfg,
+    ), problem
+
+
 @one_blas_thread()
 def search_coefficients_full(
     ds: TimeSeriesDataset,
@@ -367,26 +389,7 @@ def search_coefficients_full(
     params: CoeffSearchParams | None = None,
 ) -> CoeffSearchOutcome:
     """Run one continuous engine and return the full outcome."""
-    if method not in _COEFF_ENGINES:
-        raise VarsearchError(
-            f"method {method.value!r} does not search coefficient space"
-        )
-    params = params or CoeffSearchParams()
-    problem = _CoeffProblem(ds, cfg, kind)
-    run = _CoeffRun(budget, problem, params).drive(_COEFF_ENGINES[method], params)
-    theta = np.array(run.best, dtype=float)
-    outcome = CoeffSearchOutcome(
-        coefficients=unflatten_coefficients(theta, cfg, ds),
-        theta=theta,
-        value=run.best_key,
-        evaluations_used=run.evaluations_used,
-        trajectory=list(run.trajectory),
-        method=method.value,
-        criterion=kind.value,
-        config=cfg,
-    )
-    outcome._problem = problem
-    return outcome
+    return _search(ds, cfg, kind, method, budget, params)[0]
 
 
 def search_coefficients(
@@ -419,13 +422,11 @@ def compare_with_ols(
     As least squares is fitted after the search, a configuration it cannot
     fit (rank deficient, or T' <= K) raises once the search has run.
     """
-    outcome = search_coefficients_full(ds, cfg, kind, method, budget, params)
-    problem = outcome._problem
+    outcome, problem = _search(ds, cfg, kind, method, budget, params)
     ols_fit = _fit_system(ds, problem.system)
     theta_ols = ols_fit.coefficients.flatten().reshape(-1)
     ols_value = ols_fit.criterion(kind)
-    search_value = outcome.value
-    gap = 0.0 if ols_fit.degenerate else search_value - ols_value
+    gap = 0.0 if ols_fit.degenerate else outcome.value - ols_value
     distance = float(np.linalg.norm(outcome.theta - theta_ols))
     per_criterion = {
         "ols": {k.value: value for k, value in ols_fit.criterion_values.items()},
@@ -436,7 +437,7 @@ def compare_with_ols(
         kind=kind,
         method=method,
         ols_value=ols_value,
-        search_value=search_value,
+        search_value=outcome.value,
         gap=gap,
         coefficient_distance=distance,
         evaluations_used=outcome.evaluations_used,

@@ -28,7 +28,6 @@ from .model import (
     FitResult,
     ModelConfig,
     TimeSeriesDataset,
-    validate_config,
 )
 
 __all__ = [
@@ -44,8 +43,8 @@ __all__ = [
 # declared rank deficient.
 RANK_RTOL = 1e-10
 
-# Residual norm below DEGENERATE_RTOL * ||Y||_F marks a perfect fit; its
-# criterion values collapse to -inf.
+# A residual column of norm at most DEGENERATE_RTOL * ||y_i|| marks a perfect
+# fit of equation i, which makes Sigma singular; criterion values are -inf.
 DEGENERATE_RTOL = 1e-12
 
 
@@ -129,29 +128,31 @@ def residual_covariance(sys: RegressionSystem, theta: np.ndarray):
     return residuals, sigma
 
 
-def _y_norm(sys: RegressionSystem) -> float:
-    """||Y||_F; raises ``NumericOverflowError`` when it is not finite, as the
-    perfect-fit test would then compare inf with inf."""
+def _snap_limits(sys: RegressionSystem) -> np.ndarray:
+    """The largest Sigma_ii = ||e_i||^2 / T' of a perfect fit of equation i,
+    (DEGENERATE_RTOL ||y_i||)^2 / T'; raises ``NumericOverflowError`` when
+    ||Y|| is not finite, as the test would then compare inf with inf."""
     with np.errstate(over="ignore"):
         y_norm = float(np.linalg.norm(sys.y))
     if not math.isfinite(y_norm):
         raise NumericOverflowError()
-    return y_norm
+    return DEGENERATE_RTOL**2 * np.einsum("ij,ij->j", sys.y, sys.y) / sys.effective_t
 
 
-def _residual_log_det(sys: RegressionSystem, theta: np.ndarray, y_norm: float):
+def _residual_log_det(sys: RegressionSystem, theta: np.ndarray, limits: np.ndarray):
     """Residuals E = Y - X Theta, Sigma = E'E / T' and ln det Sigma.
 
-    ln det Sigma is -inf for a perfect fit, ||E|| <= DEGENERATE_RTOL ||Y||,
-    and +inf when E or Sigma is not finite.  ``fit`` and the coefficient
-    search both score through here, so their values agree bit for bit.
+    ln det Sigma is -inf for a perfect fit of any equation, Sigma_ii <=
+    ``limits[i]`` (see ``_snap_limits``), and +inf when E or Sigma is not
+    finite.  ``fit`` and the coefficient search both score through here, so
+    their values agree bit for bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         residuals, sigma = residual_covariance(sys, theta)
         resid_norm = float(np.linalg.norm(residuals))
     if not (math.isfinite(resid_norm) and np.all(np.isfinite(sigma))):
         return residuals, sigma, math.inf
-    if resid_norm <= DEGENERATE_RTOL * y_norm:
+    if (sigma.diagonal() <= limits).any():
         return residuals, sigma, -math.inf
     # residual_covariance made sigma exactly symmetric, and it is finite here
     return residuals, sigma, _log_det_symmetric(sigma)
@@ -192,9 +193,9 @@ def fit(ds: TimeSeriesDataset, cfg: ModelConfig, row_start=None) -> FitResult:
 def _fit_system(ds: TimeSeriesDataset, sys: RegressionSystem) -> FitResult:
     """``fit`` on a regression system already built."""
     cfg = sys.config
-    y_norm = _y_norm(sys)
+    limits = _snap_limits(sys)
     theta = solve_least_squares(sys)
-    residuals, sigma, log_det = _residual_log_det(sys, theta, y_norm)
+    residuals, sigma, log_det = _residual_log_det(sys, theta, limits)
     if log_det == math.inf:
         raise NumericOverflowError()
     n_params = cfg.n_dependent * cfg.n_design_columns()

@@ -266,7 +266,7 @@ def _human_fit(result: FitResult, names=None) -> list:
         "  " + "  ".join(f"{k.value.upper()} = {_fmt(v)}" for k, v in ordered)
     )
     if result.degenerate:
-        lines.append("  degenerate perfect fit: criteria are -inf")
+        lines.append("  degenerate fit: sigma is singular, so the criteria are -inf")
     return lines
 
 
@@ -298,7 +298,7 @@ def _human_comparison(report: ComparisonReport, names=None) -> list:
         f"  effective sample T' = {report.effective_t}",
     ]
     if report.degenerate:
-        lines.append("  least-squares fit is degenerate (perfect); gap pinned to 0")
+        lines.append("  least-squares sigma is singular (degenerate); gap pinned to 0")
     lines.append("  per criterion (ols | search):")
     for kind in sorted(report.per_criterion["ols"]):
         ols_v = report.per_criterion["ols"][kind]

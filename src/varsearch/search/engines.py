@@ -342,9 +342,10 @@ def _hybrid(run: _Run, params, share: float) -> None:
 class _SearchRun(_Run):
     """The configuration space: genomes are raw indices of the space (see
     ``SearchSpace.genes``), scored through the evaluator's cache, with the
-    candidate log.
-
-    Its limit is the size of the raw space, as no genome is scored twice.
+    candidate log.  ``evaluate_batch`` screens its fresh configurations by
+    ``screen_batch``, ``exhaustive_search`` by ``screen_families``, and
+    ``decide`` then scores them; the limit is the size of the raw space, as
+    no genome is scored twice.
     """
 
     def __init__(self, ds, space, kind, budget):
@@ -365,21 +366,17 @@ class _SearchRun(_Run):
         return self.key_of(genome)
 
     def evaluate_batch(self, genomes) -> None:
-        """Screen the uncached genomes at once, then score them one at a time.
-
-        A stop (budget, stagnation or exhausted space) ends the batch at
-        once, so no candidate is scored that the search does not record.
-        """
+        """Screen the uncached genomes at once, each as a family of one, then
+        ``decide`` them."""
         fresh = dict.fromkeys(g for g in genomes if g not in self.cache)
-        self.evaluate_configs({g: self.space.config_at(g, self.ds) for g in fresh})
+        fresh = {g: self.space.config_at(g, self.ds) for g in fresh}
+        self.evaluator.screen_batch(fresh.items())
+        self.decide(fresh)
 
-    def evaluate_configs(self, fresh, families=False) -> None:
-        """``evaluate_batch`` of the uncached configurations ``{genome: cfg}``;
-        ``families`` screens a complete enumeration by lag-order family."""
-        if families:
-            self.evaluator.screen_families(fresh.items())
-        else:
-            self.evaluator.screen_batch(fresh.items())
+    def decide(self, fresh) -> None:
+        """Score and record the screened ``{genome: cfg}`` one at a time; a
+        stop (budget, stagnation or exhausted space) ends the loop at once, so
+        no candidate is scored that the search does not record."""
         for genome, cfg in fresh.items():
             best = self.best_key[0] if self.best_key is not None else None
             value, n_params, fit_result = self.evaluator.evaluate(cfg, genome, best)
@@ -489,7 +486,8 @@ def exhaustive_search(
     kind: CriterionKind,
     budget: SearchBudget | None = None,
 ) -> SearchResult:
-    """Evaluate every valid configuration; exact but bounded.
+    """Evaluate every valid configuration; exact but bounded.  The evaluator
+    screens them by lag-order family, then ``_SearchRun.decide`` scores them.
 
     Raises
     ------
@@ -518,10 +516,11 @@ def exhaustive_search(
         stagnation_limit=len(configs) + 1,
         master_seed=budget.master_seed if budget else 0,
     )
-    roles = [[cfg.dependent_mask[i] for i in space.switchable] for cfg in configs]
-    fresh = {space.index_of(c.p, c.q, bits): c for c, bits in zip(configs, roles)}
+    fresh = {space.index_of(c.p, c.q, [c.dependent_mask[i] for i in space.switchable]): c
+             for c in configs}
     run = _SearchRun(ds, space, kind, budget)
-    return run.drive(_SearchRun.evaluate_configs, fresh, True).finalize("exhaustive")
+    run.evaluator.screen_families(fresh.items())
+    return run.drive(_SearchRun.decide, fresh).finalize("exhaustive")
 
 
 @one_blas_thread()

@@ -22,7 +22,7 @@ from .._lapack import flapack as lapack
 from ..criteria import _UNIT, CriterionKind, criterion_from_log_det
 from ..design import _lag_window, _window_columns
 from ..errors import NumericOverflowError, RankDeficientError, ValidationError
-from ..model import ModelConfig, TimeSeriesDataset, structural_violations
+from ..model import ModelConfig, TimeSeriesDataset, validate_config
 from ..ols import RANK_RTOL, fit
 
 __all__ = ["derive_candidate_seed", "evaluate_config", "CrossProductEvaluator"]
@@ -219,9 +219,8 @@ class CrossProductEvaluator:
     def _screen_into(self, batch, screen) -> None:
         widths = {}  # genome -> (cfg, K), K None where least squares cannot fit
         for genome, cfg in batch:
-            k = cfg.n_design_columns()
-            invalid = structural_violations(cfg, self.ds, row_start=self.row_start)
-            widths[genome] = cfg, None if invalid or self.effective_t <= k else k
+            invalid = validate_config(cfg, self.ds, row_start=self.row_start)
+            widths[genome] = cfg, None if invalid else cfg.n_design_columns()
         screens = zip(widths.items(), screen(list(widths.values())))
         self._screens = {genome: (k, result) for (genome, (_, k)), result in screens}
 
@@ -320,7 +319,7 @@ class CrossProductEvaluator:
         n, endogenous = len(y), widest.p * len(y)  # x holds the endogenous lags first
         # window column c is column c + 1 of Z, whose column 0 is the constant
         columns = [-1] * widest.include_constant + x[endogenous:] + x[:endogenous] + y
-        idx = np.array(columns, dtype=np.intp) + 1
+        idx = np.array(columns) + 1
         norms = self._norms[idx]
         reach = self._columns.shape[1] - n  # order p needs K_p + n of R's min(T', W) rows
         if not norms.min() > 0.0:
@@ -335,13 +334,11 @@ class CrossProductEvaluator:
             return
         ranked = list(orders)
         k_top = ranked[-1]
-        if k_top + n < len(columns):  # the widest member cannot be screened
-            columns = columns[:k_top] + columns[-n:]
+        if k_top + n < len(idx):  # the widest member cannot be screened
             idx = np.concatenate((idx[:k_top], idx[-n:]))
-        # R is upper triangular, so its rows past the last selected column, Z
-        # column max(columns) + 1, are zero; LAPACK reads only the upper
-        # triangle of each factor below
-        qr = lapack.dgeqrf(self._columns[idx, : max(columns) + 2].T, overwrite_a=1)[0]
+        # R is upper triangular, so its rows past the last selected column of
+        # Z are zero; LAPACK reads only the upper triangle of each factor below
+        qr = lapack.dgeqrf(self._columns[idx, : idx.max() + 1].T, overwrite_a=1)[0]
         norms_x, norms_y, r_xx = norms[:k_top], norms[-n:], qr[:k_top, :k_top]
         if not _full_rank(r_xx, norms_x):
             ranked = [k for k in ranked[:-1] if _full_rank(qr[:k, :k], norms_x[:k])]
@@ -416,13 +413,14 @@ class CrossProductEvaluator:
             log_dets = 2.0 * np.sum(np.log(diagonals), axis=1) - n * math.log(t)
             rows = zip(indices, ks, bounds.tolist(), log_dets.tolist())
             for index, k, bound, log_det in rows:
-                # This test also sends every perfect fit to QR: row i of R_yy^-1
-                # holds 1 / |r_ii| >= 1 / ||R_yy||_F, so S >= ||Y||_F / ||R_yy||_F,
-                # and ||R_yy||_F <= 2 DEGENERATE_RTOL ||Y||_F, twice QR's snap
-                # threshold, gives S >= 5e11 and a bound above 1e-3.  So does a
-                # Sigma that criteria._log_det_symmetric calls singular: as ||e_i||
-                # <= weights_i, S >= ||D R_yy^-1||_F >= 1 / (n rcond(R_yy D^-1)),
-                # D = diag(||e_i||), above 3e5 for rcond^2 <= 64 n u and n <= 10.
+                # This test also sends a perfect fit of any equation to QR: row i
+                # of R_yy^-1 holds 1 / |r_ii| >= 1 / ||e_i||, as column i of R_yy
+                # has the norm of e_i, so S >= ||y_i|| / ||e_i||, and ||e_i|| <=
+                # 2 DEGENERATE_RTOL ||y_i||, twice QR's snap threshold, gives S >=
+                # 5e11 and a bound above 1e-3.  So does a Sigma that
+                # criteria._log_det_symmetric calls singular: as ||e_i|| <=
+                # weights_i, S >= ||D R_yy^-1||_F >= 1 / (n rcond(R_yy D^-1)), D =
+                # diag(||e_i||), above 3e5 for rcond^2 <= 64 n u and n <= 10.
                 if bound <= VALUE_TOLERANCE:
                     value = criterion_from_log_det(self.kind, log_det, n * k, t)
                     margin = 8.0 * _UNIT * (abs(value) + abs(log_det) + n)

@@ -1,12 +1,16 @@
 """Coefficient-space search: fitness contract, engines, OLS comparison."""
 
+import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from varsearch import (
     CoefficientGenome,
+    CoeffSearchOutcome,
     CoeffSearchParams,
     CriterionKind,
     GeneratorSpec,
@@ -197,6 +201,36 @@ class TestCoefficientEngines:
         np.testing.assert_array_equal(
             coefficients.flatten(), outcome.coefficients.flatten()
         )
+
+    def test_outcome_memory_does_not_grow_with_the_sample(self):
+        # an outcome keeps coefficients and a trajectory, not the searched
+        # system: X and Y alone would retain T' (K + n) 8 bytes, 288 kB more
+        # at T = 4,000 than at T = 400 for this configuration
+        cfg = ModelConfig(p=2, q=0, dependent_mask=(True,) * 3)
+        retained = {}
+        for t in (400, 4000):
+            ds = noisy_dataset(seed=3, n=3, p=2, t=t, noise=0.5)
+            budget = SearchBudget(60, master_seed=1)
+            tracemalloc.start()
+            try:
+                outcome = search_coefficients_full(
+                    ds, cfg, CriterionKind.AIC, SearchMethod.GA, budget
+                )
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+                del outcome
+                gc.collect()
+                retained[t] = held - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        effective_t, width = 4000 - cfg.p, cfg.n_design_columns() + cfg.n_dependent
+        assert retained[4000] - retained[400] < effective_t * width * 8 / 20
+
+    def test_outcome_fields_are_the_answers_alone(self):
+        assert [f.name for f in dataclasses.fields(CoeffSearchOutcome)] == [
+            "coefficients", "theta", "value", "evaluations_used",
+            "trajectory", "method", "criterion", "config",
+        ]
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

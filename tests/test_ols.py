@@ -159,6 +159,22 @@ class TestFit:
         assert result.degenerate
         assert all(v == -np.inf for v in result.criterion_values.values())
 
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (2, 1, 0)])
+    def test_a_perfect_fit_of_one_equation_is_degenerate(self, order):
+        # a constant series is its own lag, so without an intercept its
+        # equation is fitted exactly: its residuals are rounding error, 4e-15
+        # against ||y|| = 16, beside two equations with residuals near 5.
+        # Sigma is singular in exact arithmetic, so the criteria are -inf in
+        # every column order, not ln det values of about -70 that move with it
+        rng = np.random.default_rng(0)
+        obs = np.column_stack([rng.normal(size=(30, 2)), np.full(30, 3.0)])[:, order]
+        cfg = ModelConfig(p=1, q=0, dependent_mask=(True,) * 3, include_constant=False)
+        result = fit(make_dataset(obs), cfg)
+        norms = np.sort(np.linalg.norm(result.residuals, axis=0))
+        assert norms[0] < 1e-14 and norms[1] > 4.0
+        assert result.degenerate
+        assert all(v == -np.inf for v in result.criterion_values.values())
+
     def test_row_start_override_changes_sample(self):
         ds = noisy_dataset(seed=9, n=2, p=1, t=100)
         cfg = ModelConfig(p=1, q=0, dependent_mask=(True, True))

@@ -11,9 +11,11 @@ from varsearch import (
     ModelConfig,
     RunConfig,
     SearchBudget,
+    SearchMethod,
     SearchSpace,
     SimulationReport,
     ForecastReport,
+    compare_with_ols,
     exhaustive_search,
     fit,
     forecast,
@@ -23,6 +25,7 @@ from varsearch import (
 )
 
 from .conftest import make_dataset, noisy_dataset
+from .test_engines import rank_one_drive
 
 
 @pytest.fixture
@@ -42,7 +45,28 @@ class TestHumanFormat:
         assert "A_1:" in text
         assert "C:" in text
         assert "1.00000" in text
-        assert "degenerate perfect fit" in text
+        assert "degenerate fit: sigma is singular, so the criteria are -inf" in text
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_singular_fit_far_from_perfect_is_not_called_perfect(self, scale):
+        # y driven by a rank-one B z: without lag 1 of z the residuals have
+        # rank one, a singular sigma, yet they are far from zero
+        ds = rank_one_drive(scale)
+        cfg = ModelConfig(p=1, q=0, dependent_mask=(True, True, False))
+        result = fit(ds, cfg)
+        assert result.degenerate
+        y = ds.observations[result.row_start :, :2]
+        assert np.linalg.norm(result.residuals) > 0.05 * np.linalg.norm(y)
+        text = write_report(result, "human", RUN, names=ds.names).decode("utf-8")
+        assert "sigma is singular" in text
+        assert "perfect" not in text
+        report = compare_with_ols(
+            ds, cfg, CriterionKind.AIC, SearchMethod.GA, SearchBudget(60, master_seed=1)
+        )
+        assert report.degenerate
+        text = write_report(report, "human", RUN, names=ds.names).decode("utf-8")
+        assert "least-squares sigma is singular (degenerate)" in text
+        assert "perfect" not in text
 
     def test_header_names_command_and_settings(self, counting_fit):
         ds, result = counting_fit
