@@ -16,7 +16,7 @@ from pathlib import Path
 from ._version import __version__
 from .coeffsearch import compare_with_ols, search_coefficients_full
 from .criteria import CriterionKind
-from .csvio import format_csv, load_dataset, load_future_matrix, write_csv
+from .csvio import load_dataset, load_future_matrix, write_csv
 from .errors import MissingColumnError, VarsearchError
 from .model import ModelConfig
 from .ols import fit
@@ -215,13 +215,13 @@ def _emit(args, result, settings, names, artifact=None) -> int:
 
     stdout gets the human report, ``--out`` the ``artifact`` (a CSV table
     ``(names, matrix)``) or the human report when there is none, and
-    ``--out-json`` the JSON report.  ``simulate`` without ``--out`` prints
-    its CSV instead of the human report.
+    ``--out-json`` the JSON report.  ``simulate`` without ``--out`` streams
+    its CSV to stdout instead of the human report.
     """
     run_config = RunConfig(args.command, settings)
     human = write_report(result, "human", run_config, names)
     if args.command == "simulate" and not args.out:
-        sys.stdout.write(format_csv(*artifact))
+        write_csv(sys.stdout, *artifact)
     else:
         sys.stdout.write(human.decode("utf-8"))
     if args.out:

@@ -205,7 +205,10 @@ def format_csv(names, matrix) -> str:
 
 
 def write_csv(path, names, matrix) -> None:
+    """Write ``format_csv``'s text to a path or a text file object."""
     blocks = _csv_blocks(names, matrix)
+    if hasattr(path, "write"):
+        return path.writelines(blocks)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(blocks)
 
@@ -214,7 +217,8 @@ def _csv_blocks(names, matrix):
     """Check the names, then return an iterator over the text in blocks.
 
     The header comes first, then the rows ``_BLOCK_ROWS`` at a time, so
-    ``write_csv`` never holds more than one block of text.
+    ``write_csv`` never holds more than one block of text.  A block is one
+    ``%`` operation with a ``%r`` per cell, which is ``repr``.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -222,7 +226,7 @@ def _csv_blocks(names, matrix):
     for name in names:
         if not _NAME_RE.fullmatch(str(name)):
             raise InvalidHeaderError(str(name))
-    starts = range(0, len(matrix), _BLOCK_ROWS)
-    blocks = (matrix[i : i + _BLOCK_ROWS].tolist() for i in starts)
-    text = ("".join(",".join(map(repr, r)) + "\n" for r in rows) for rows in blocks)
+    row = ",".join(["%r"] * matrix.shape[1]) + "\n"
+    blocks = (matrix[i : i + _BLOCK_ROWS] for i in range(0, len(matrix), _BLOCK_ROWS))
+    text = ((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
     return itertools.chain([",".join(map(str, names)) + "\n"], text)

@@ -200,10 +200,6 @@ class CoefficientSet:
     def n_independent(self) -> int:
         return self.b[0].shape[0] if self.b else 0
 
-    @property
-    def has_constant(self) -> bool:
-        return self.c is not None
-
     def flatten(self) -> np.ndarray:
         """Stack into the K x n matrix of the regression system.
 
@@ -214,9 +210,6 @@ class CoefficientSet:
         if self.c is not None:
             blocks.append(self.c)
         return np.vstack(blocks)
-
-    def n_entries(self) -> int:
-        return int(self.flatten().size)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from .csvio import _BLOCK_ROWS
 from .errors import ForecastInputError, UnstableError
 from .model import CoefficientSet, FitResult, Role, TimeSeriesDataset
 
@@ -59,7 +61,8 @@ class GeneratorSpec:
 
     ``exogenous`` is either None (requires q = 0), the string
     "random_walk", or an array of shape (burn_in + t, d) supplying the
-    independent series for the whole simulated span including burn-in.
+    independent series for the whole simulated span including burn-in
+    (requires q > 0).  ``noise_scale`` must be finite and >= 0.
     ``initial_state`` optionally sets the first max(p, q) rows of the
     dependent block; the default is zeros.
     """
@@ -77,39 +80,37 @@ class GeneratorSpec:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         coef = self.coefficients
-        if coef.q > 0:
-            if self.exogenous is None:
+        if isinstance(self.exogenous, str):
+            if self.exogenous != "random_walk":
+                raise ValueError(f"unknown exogenous mode {self.exogenous!r}")
+        elif self.exogenous is not None:
+            if coef.q == 0:
+                raise ValueError("q = 0 uses no exogenous array; pass None")
+            z = np.asarray(self.exogenous, dtype=float)
+            shape = (self.burn_in + self.t, coef.n_independent)
+            if z.shape != shape:
                 raise ValueError(
-                    "coefficients use exogenous lags; pass "
-                    "exogenous='random_walk' or an array"
+                    f"supplied exogenous array must have shape {shape} "
+                    f"covering burn-in, got {z.shape}"
                 )
-            if isinstance(self.exogenous, str):
-                if self.exogenous != "random_walk":
-                    raise ValueError(
-                        f"unknown exogenous mode {self.exogenous!r}"
-                    )
-            else:
-                z = np.asarray(self.exogenous, dtype=float)
-                total = self.burn_in + self.t
-                if z.ndim != 2 or z.shape != (total, coef.n_independent):
-                    raise ValueError(
-                        "supplied exogenous array must have shape "
-                        f"({total}, {coef.n_independent}) covering burn-in, "
-                        f"got {z.shape}"
-                    )
-                if not np.all(np.isfinite(z)):
-                    raise ValueError("exogenous array must be finite")
-                object.__setattr__(self, "exogenous", z)
+            if not np.all(np.isfinite(z)):
+                raise ValueError("exogenous array must be finite")
+            object.__setattr__(self, "exogenous", z)
+        elif coef.q > 0:
+            raise ValueError(
+                "coefficients use exogenous lags; pass "
+                "exogenous='random_walk' or an array"
+            )
         row_start = max(coef.p, coef.q)
         if self.initial_state is not None:
             init = np.asarray(self.initial_state, dtype=float)
-            if init.shape != (row_start, coef.n_dependent):
+            shape = (row_start, coef.n_dependent)
+            if init.shape != shape:
                 raise ValueError(
-                    "initial_state must have shape "
-                    f"({row_start}, {coef.n_dependent}), got {init.shape}"
+                    f"initial_state must have shape {shape}, got {init.shape}"
                 )
             if not np.all(np.isfinite(init)):
                 raise ValueError("initial_state must be finite")
@@ -121,19 +122,48 @@ class GeneratorSpec:
             )
 
 
-def _var_mean(coef: CoefficientSet, constant, y, z, j: int) -> np.ndarray:
-    """Row j of the system without noise: constant + sum_i y[j-i] A_i +
-    sum_i z[j-i] B_i, summed in that order."""
-    row = constant.copy()
-    for i, a in enumerate(coef.a, start=1):
-        row += y[j - i] @ a
-    for i, b in enumerate(coef.b, start=1):
-        row += z[j - i] @ b
-    return row
+def _recur(coef, y, z, start: int, rng=None, noise_scale=0.0) -> None:
+    """Fill y[start:] with c + sum_i y[j-i] A_i + sum_i z[j-i] B_i (+ noise),
+    summed left to right, ``_BLOCK_ROWS`` rows at a time (see ``generate``)."""
+    n, p = y.shape[1], coef.p
+    # a row's terms in summation order: c, the y lags, the z lags, the noise
+    k = 1 + p + coef.q + (noise_scale > 0)
+    # a matrix's memory layout picks its BLAS kernel, and the stack is C-order,
+    # so it is used only when every A_i is; otherwise each A_i goes on its own
+    stack = np.array(coef.a) if all(a.flags.c_contiguous for a in coef.a) else None
+    for lo in range(start, len(y), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(y))
+        t = np.empty((p + hi - lo, k, n))
+        t[:p, -1] = y[lo - p : lo]
+        t[p:, 0] = coef.c[0] if coef.c is not None else 0.0
+        for i, b in enumerate(coef.b, start=1):
+            t[p:, p + i] = np.matmul(z[lo - i : hi - i, None, :], b)[:, 0]
+        if noise_scale > 0:
+            t[p:, -1] = rng.normal(0.0, noise_scale, size=(hi - lo, n))
+        # lagged[r] views the sums of rows r-1, ..., r-p (slot -1 of t)
+        s = t.strides[0]
+        lagged = as_strided(t[p - 1, -1], (hi - lo, p, 1, n), (s, -s, 8 * n, 8))
+        for row, lags, out in zip(t[p:], lagged, t[p:, 1 : p + 1, None]):
+            if stack is None:
+                for lag, a, o in zip(lags, coef.a, out):
+                    np.matmul(lag, a, out=o)
+            else:
+                np.matmul(lags, stack, out=out)
+            np.add.accumulate(row, axis=0, out=row)
+        y[lo:hi] = t[p:, -1]
 
 
 def generate(spec: GeneratorSpec) -> TimeSeriesDataset:
     """Simulate the system and return the post-burn-in sample.
+
+    Row j is c + y[j-1] A_1 + ... + y[j-p] A_p + z[j-1] B_1 + ... +
+    z[j-q] B_q + noise, summed left to right by ``np.add.accumulate``.
+    Blocks of ``_BLOCK_ROWS`` rows share one noise draw and one stacked
+    product per B_i, and a row's A_i products are one stacked product, yet
+    the bits are a row-by-row loop's: the stream is sequential, so a block
+    holds the draws of one ``normal(size=n)`` per row, drawn after the
+    random-walk steps, and a stacked product runs the BLAS vector-matrix
+    product of ``row @ B_i`` (or ``row @ A_i``) for each of its rows.
 
     Raises
     ------
@@ -143,8 +173,6 @@ def generate(spec: GeneratorSpec) -> TimeSeriesDataset:
     """
     coef = spec.coefficients
     n = coef.n_dependent
-    p = coef.p
-    q = coef.q
     d = coef.n_independent
     if spec.noise_scale > 0:
         radius = companion_spectral_radius(coef)
@@ -152,33 +180,21 @@ def generate(spec: GeneratorSpec) -> TimeSeriesDataset:
             raise UnstableError(radius)
     rng = np.random.default_rng(spec.seed)
     total = spec.burn_in + spec.t
-    row_start = max(p, q)
+    row_start = max(coef.p, coef.q)
 
-    if q > 0:
-        if isinstance(spec.exogenous, str):
-            steps = rng.normal(0.0, 1.0, size=(total, d))
-            z = np.cumsum(steps, axis=0)
-        else:
-            z = spec.exogenous
-    else:
-        z = np.zeros((total, 0))
+    z = spec.exogenous
+    if not isinstance(z, np.ndarray):  # a random walk, of no columns when q = 0
+        z = np.cumsum(rng.normal(0.0, 1.0, size=(total, d)), axis=0)
 
     y = np.zeros((total, n))
     if spec.initial_state is not None:
         y[:row_start] = spec.initial_state
-    constant = coef.c[0] if coef.c is not None else np.zeros(n)
-    for j in range(row_start, total):
-        row = _var_mean(coef, constant, y, z, j)
-        if spec.noise_scale > 0:
-            row += rng.normal(0.0, spec.noise_scale, size=n)
-        y[j] = row
+    _recur(coef, y, z, row_start, rng, spec.noise_scale)
 
     observations = np.hstack([y, z])[spec.burn_in :]
     names = [f"y{i + 1}" for i in range(n)] + [f"z{i + 1}" for i in range(d)]
     roles = (Role.DEPENDENT,) * n + (Role.INDEPENDENT,) * d
-    return TimeSeriesDataset(
-        observations=observations, names=tuple(names), roles=roles
-    )
+    return TimeSeriesDataset(observations=observations, names=tuple(names), roles=roles)
 
 
 def random_stable_coefficients(
@@ -271,9 +287,6 @@ def forecast(
     z_ext = ds.observations[:, indep_cols]
     if needs_future:
         z_ext = np.vstack([z_ext, future_z[: horizon - 1]])
-    constant = coef.c[0] if coef.c is not None else np.zeros(n)
-
     y_ext = np.vstack([hist_y, np.zeros((horizon, n))])
-    for j in range(t_obs, t_obs + horizon):
-        y_ext[j] = _var_mean(coef, constant, y_ext, z_ext, j)
+    _recur(coef, y_ext, z_ext, t_obs)
     return y_ext[t_obs:]

@@ -239,19 +239,18 @@ class TestSimulate:
         assert doc["result"]["seed"] == 6
         assert "simulation" in capsys.readouterr().out
 
-    def test_same_seed_same_csv(self, tmp_path):
+    def test_same_seed_same_csv(self, tmp_path, capsys):
+        # past one block of rows, written to --out twice and streamed to stdout
+        argv = ["simulate", "--n-vars", "2", "--n-exog", "1", "--t", "4200", "--seed", "11"]
         texts = []
         for name in ("a.csv", "b.csv"):
             path = tmp_path / name
-            rc = cli_main(
-                [
-                    "simulate", "--n-vars", "2", "--t", "30", "--seed", "11",
-                    "--out", str(path),
-                ]
-            )
-            assert rc == 0
+            assert cli_main(argv + ["--out", str(path)]) == 0
             texts.append(path.read_text(encoding="utf-8"))
-        assert texts[0] == texts[1]
+        capsys.readouterr()
+        assert cli_main(argv) == 0
+        texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
 
     def test_exog_q_consistency_errors(self, capsys):
         assert cli_main(

@@ -323,3 +323,30 @@ def test_write_read_round_trip_is_bit_exact(matrix):
     assert plain is not None, "written files take the numpy path"
     assert back_names == names
     assert back.tobytes() == plain[1].tobytes() == matrix.tobytes()
+
+
+# the doubles whose repr is easiest to get wrong, cycled through the cells
+WRITER_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5, 0.1]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize(
+    "rows", [csvio._BLOCK_ROWS - 1, csvio._BLOCK_ROWS, csvio._BLOCK_ROWS + 1]
+)
+def test_written_text_is_repr_row_by_row(tmp_path, rows, width):
+    cells = np.resize(np.array(WRITER_VALUES), rows * width)
+    matrix = cells.reshape(rows, width) * np.where(np.arange(rows) % 2, -1.0, 1.0)[:, None]
+    names = tuple(f"v{i}" for i in range(width))
+    expected = ",".join(names) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in matrix.tolist()
+    )
+    assert format_csv(names, matrix) == expected
+    path = tmp_path / "out.csv"
+    write_csv(path, names, matrix)
+    assert path.read_text() == expected
+    stream = io.StringIO()
+    write_csv(stream, names, matrix)
+    assert stream.getvalue() == expected
+    back_names, back = read_matrix_csv(path)
+    assert back_names == names
+    assert back.tobytes() == matrix.tobytes()

@@ -149,7 +149,7 @@ class TestCountParameters:
         from varsearch import fit
 
         result = fit(ds, cfg)
-        assert count_parameters(cfg, ds) == result.coefficients.n_entries()
+        assert count_parameters(cfg, ds) == result.coefficients.flatten().size
 
 
 class TestCoefficientSet:

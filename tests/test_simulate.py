@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varsearch import (
     CoefficientSet,
@@ -19,6 +21,8 @@ from varsearch import (
     generate,
     random_stable_coefficients,
 )
+
+from varsearch.csvio import _BLOCK_ROWS
 
 from .conftest import make_dataset
 
@@ -161,6 +165,29 @@ class TestGenerate:
                 noise_scale=0.0,
             )
 
+    def test_nan_noise_scale_is_refused(self):
+        # once skipped both the stability check and the noise
+        unstable = ar_coefficients(1.2)
+        with pytest.raises(ValueError, match="noise_scale must be finite"):
+            GeneratorSpec(coefficients=unstable, t=10, noise_scale=math.nan)
+
+    def test_infinite_noise_scale_is_refused(self):
+        stable = random_stable_coefficients(n=1, p=1, seed=0)
+        with pytest.raises(ValueError, match="noise_scale must be finite"):
+            GeneratorSpec(coefficients=stable, t=10, noise_scale=math.inf)
+
+    def test_unknown_exogenous_mode_is_refused_without_lags(self):
+        stable = random_stable_coefficients(n=1, p=1, seed=0)
+        with pytest.raises(ValueError, match="unknown exogenous mode 'bogus'"):
+            GeneratorSpec(coefficients=stable, t=10, exogenous="bogus")
+
+    def test_exogenous_array_is_refused_without_lags(self):
+        stable = random_stable_coefficients(n=1, p=1, seed=0)
+        with pytest.raises(ValueError, match="q = 0 uses no exogenous array"):
+            GeneratorSpec(
+                coefficients=stable, t=10, burn_in=0, exogenous=np.zeros((10, 1))
+            )
+
 
 class TestRandomStableCoefficients:
     def test_radius_is_pinned_exactly(self):
@@ -262,3 +289,120 @@ class TestForecast:
         stub = make_dataset([1.0])
         with pytest.raises(ForecastInputError, match="observed rows"):
             forecast(stub, deep, horizon=1)
+
+
+# Bit-for-bit pins: generate and forecast against the row-by-row loop they
+# replaced, one rng.normal(size=n) per row and every term added in turn.
+
+def _oracle_row(coef, constant, y, z, j):
+    row = constant.copy()
+    for i, a in enumerate(coef.a, start=1):
+        row += y[j - i] @ a
+    for i, b in enumerate(coef.b, start=1):
+        row += z[j - i] @ b
+    return row
+
+
+def _oracle_generate(spec):
+    coef = spec.coefficients
+    n = coef.n_dependent
+    rng = np.random.default_rng(spec.seed)
+    total = spec.burn_in + spec.t
+    start = max(coef.p, coef.q)
+    if isinstance(spec.exogenous, np.ndarray):
+        z = spec.exogenous
+    elif coef.q > 0:
+        z = np.cumsum(rng.normal(0.0, 1.0, size=(total, coef.n_independent)), axis=0)
+    else:
+        z = np.zeros((total, 0))
+    y = np.zeros((total, n))
+    if spec.initial_state is not None:
+        y[:start] = spec.initial_state
+    constant = coef.c[0] if coef.c is not None else np.zeros(n)
+    for j in range(start, total):
+        row = _oracle_row(coef, constant, y, z, j)
+        if spec.noise_scale > 0:
+            row += rng.normal(0.0, spec.noise_scale, size=n)
+        y[j] = row
+    return np.hstack([y, z])[spec.burn_in :]
+
+
+# rows stepped past the seed rows: a few, or either side of a block edge
+STEPS = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]),
+)
+
+
+@st.composite
+def generator_specs(draw):
+    n, p, q = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    d = draw(st.integers(1, 3)) if q else 0
+    seed = draw(st.integers(0, 2**16))
+    coef = random_stable_coefficients(
+        n=n, p=p, d=d, q=q, include_constant=draw(st.booleans()), seed=seed
+    )
+    # C- or Fortran-order matrices: the memory layout picks the BLAS kernel
+    fortran = draw(st.lists(st.booleans(), min_size=p + q, max_size=p + q))
+    mats = [np.asfortranarray(m) if f else m for m, f in zip(coef.a + coef.b, fortran)]
+    coef = CoefficientSet(a=tuple(mats[:p]), b=tuple(mats[p:]), c=coef.c)
+    start = max(p, q)
+    steps = draw(STEPS)
+    burn_in = draw(st.integers(0, min(5, steps + start - 1)))
+    t = steps + start - burn_in
+    rng = np.random.default_rng(seed)
+    exogenous = None
+    if q:
+        exogenous = draw(st.sampled_from(["random_walk", "array", "fortran"]))
+        if exogenous != "random_walk":
+            z = rng.normal(size=(steps + start, d)).cumsum(axis=0)
+            exogenous = z if exogenous == "array" else np.asfortranarray(z)
+    initial = None
+    if draw(st.booleans()):
+        initial = rng.normal(size=(start, n)) * draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    return GeneratorSpec(
+        coefficients=coef,
+        t=t,
+        noise_scale=draw(st.sampled_from([0.0, 1e-8, 1.0, 3.7])),
+        burn_in=burn_in,
+        seed=seed,
+        exogenous=exogenous,
+        initial_state=initial,
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(generator_specs())
+def test_generate_is_bit_identical_to_the_row_loop(spec):
+    assert generate(spec).observations.tobytes() == _oracle_generate(spec).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(1, 3), st.integers(0, 2), st.booleans(),
+    st.integers(0, 2**16), STEPS,
+)
+def test_forecast_is_bit_identical_to_the_row_loop(n, p, q, constant, seed, horizon):
+    d = 2 if q else 0
+    coef = random_stable_coefficients(
+        n=n, p=p, d=d, q=q, include_constant=constant, radius=0.8, seed=seed
+    )
+    ds = generate(
+        GeneratorSpec(
+            coefficients=coef, t=60, seed=seed,
+            exogenous="random_walk" if q else None,
+        )
+    )
+    mask = (True,) * n + (False,) * d
+    result = fit(ds, ModelConfig(p=p, q=q, dependent_mask=mask, include_constant=constant))
+    future_z = np.random.default_rng(seed).normal(size=(horizon, d)) if q else None
+
+    z = ds.observations[:, n:]
+    if q and horizon > 1:
+        z = np.vstack([z, future_z[: horizon - 1]])
+    y = np.vstack([ds.observations[:, :n], np.zeros((horizon, n))])
+    constant_row = result.coefficients.c[0] if constant else np.zeros(n)
+    for j in range(ds.n_obs, ds.n_obs + horizon):
+        y[j] = _oracle_row(result.coefficients, constant_row, y, z, j)
+    expected = y[ds.n_obs :]
+    assert forecast(ds, result, horizon, future_z).tobytes() == expected.tobytes()
