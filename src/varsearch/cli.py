@@ -314,10 +314,6 @@ def _cmd_simulate(args) -> int:
     q = args.q
     if q is None:
         q = 1 if args.n_exog > 0 else 0
-    if q > 0 and args.n_exog < 1:
-        raise ValueError("--q > 0 requires --n-exog >= 1")
-    if args.n_exog > 0 and q < 1:
-        raise ValueError("--n-exog > 0 requires --q >= 1")
     coefficients = random_stable_coefficients(
         n=args.n_vars,
         p=args.p,

@@ -143,14 +143,15 @@ def _residual_log_det(sys: RegressionSystem, theta: np.ndarray, limits: np.ndarr
     """Residuals E = Y - X Theta, Sigma = E'E / T' and ln det Sigma.
 
     ln det Sigma is -inf for a perfect fit of any equation, Sigma_ii <=
-    ``limits[i]`` (see ``_snap_limits``), and +inf when E or Sigma is not
-    finite.  ``fit`` and the coefficient search both score through here, so
-    their values agree bit for bit.
+    ``limits[i]`` (see ``_snap_limits``), and +inf when Sigma or E's sum of
+    squares, trace(Sigma) T', is not finite (an overflowing sum would read
+    as singular).  ``fit`` and the coefficient search both score through
+    here, so their values agree bit for bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         residuals, sigma = residual_covariance(sys, theta)
-        resid_norm = float(np.linalg.norm(residuals))
-    if not (math.isfinite(resid_norm) and np.all(np.isfinite(sigma))):
+        total = float(sigma.trace()) * sys.effective_t
+    if not (math.isfinite(total) and np.all(np.isfinite(sigma))):
         return residuals, sigma, math.inf
     if (sigma.diagonal() <= limits).any():
         return residuals, sigma, -math.inf

@@ -46,7 +46,7 @@ from ..criteria import CriterionKind
 from ..errors import EmptySpaceError, TooLargeError
 from ..model import TimeSeriesDataset
 from .evaluation import CrossProductEvaluator, derive_candidate_seed
-from .space import SearchBudget, SearchResult, SearchSpace, enumerate_space
+from .space import SearchBudget, SearchResult, SearchSpace, _valid_configs
 
 __all__ = [
     "GAParams",
@@ -504,21 +504,15 @@ def exhaustive_search(
             f"space has {raw} raw configurations, above the exhaustive "
             f"limit of {_MAX_EXHAUSTIVE}"
         )
-    configs = enumerate_space(space, ds)
-    if budget is not None and len(configs) > budget.max_evaluations:
+    fresh = _valid_configs(space, ds)
+    if budget is not None and len(fresh) > budget.max_evaluations:
         raise TooLargeError(
-            f"space has {len(configs)} valid configurations but the budget "
+            f"space has {len(fresh)} valid configurations but the budget "
             f"allows only {budget.max_evaluations} evaluations"
         )
-    # stagnation must not cut an exhaustive sweep short
-    budget = SearchBudget(
-        max_evaluations=budget.max_evaluations if budget else len(configs),
-        stagnation_limit=len(configs) + 1,
-        master_seed=budget.master_seed if budget else 0,
-    )
-    fresh = {space.index_of(c.p, c.q, [c.dependent_mask[i] for i in space.switchable]): c
-             for c in configs}
-    run = _SearchRun(ds, space, kind, budget)
+    # the caller's budget only bounds the sweep: stagnation must not cut it
+    # short, and it draws no random stream
+    run = _SearchRun(ds, space, kind, SearchBudget(len(fresh), len(fresh) + 1))
     run.evaluator.screen_families(fresh.items())
     return run.drive(_SearchRun.decide, fresh).finalize("exhaustive")
 

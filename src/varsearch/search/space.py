@@ -167,6 +167,21 @@ class SearchResult:
     method: str = ""
 
 
+def _valid_configs(space: SearchSpace, ds: TimeSeriesDataset) -> dict:
+    """``enumerate_space`` as ``{genome: cfg}``, in raw order."""
+    space.check_columns(ds)
+    configs = {}
+    for index in range(space.raw_size()):
+        cfg = space.config_at(index, ds)
+        if not validate_config(cfg, ds):
+            configs[index] = cfg
+    if not configs:
+        raise EmptySpaceError(
+            "no valid configuration in the search space for this dataset"
+        )
+    return configs
+
+
 def enumerate_space(space: SearchSpace, ds: TimeSeriesDataset) -> list:
     """All valid configurations in deterministic lexicographic order.
 
@@ -180,14 +195,4 @@ def enumerate_space(space: SearchSpace, ds: TimeSeriesDataset) -> list:
     EmptySpaceError
         When no valid configuration remains.
     """
-    space.check_columns(ds)
-    configs = []
-    for index in range(space.raw_size()):
-        cfg = space.config_at(index, ds)
-        if not validate_config(cfg, ds):
-            configs.append(cfg)
-    if not configs:
-        raise EmptySpaceError(
-            "no valid configuration in the search space for this dataset"
-        )
-    return configs
+    return list(_valid_configs(space, ds).values())

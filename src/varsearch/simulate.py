@@ -214,8 +214,8 @@ def random_stable_coefficients(
     """
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
-    if q > 0 and d < 1:
-        raise ValueError("q > 0 requires d >= 1")
+    if d < 0 or q < 0 or (q > 0) != (d > 0):
+        raise ValueError(f"need d, q >= 0 and q >= 1 exactly when d >= 1, got d={d}, q={q}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     rng = np.random.default_rng(seed)

@@ -260,6 +260,11 @@ class TestSimulate:
             ["simulate", "--n-vars", "1", "--t", "20", "--n-exog", "1", "--q", "0"]
         ) == 2
 
+    @pytest.mark.parametrize("sizes", [["--q", "-1"], ["--n-exog", "-1", "--q", "0"]])
+    def test_negative_exog_sizes_error(self, capsys, sizes):
+        assert cli_main(["simulate", "--n-vars", "1", "--t", "5", *sizes]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestForecast:
     def test_counting_series_forecast(self, counting_csv, tmp_path, capsys):

@@ -182,6 +182,31 @@ class TestExhaustive:
         with pytest.raises(TooLargeError):
             exhaustive_search(ds, space, CriterionKind.AIC, SearchBudget(n_valid - 1))
 
+    def test_answer_does_not_depend_on_the_budget(self):
+        # the budget only bounds the sweep; its seed and any room to spare
+        # change nothing, down to the last bit
+        ds, space = small_space_problem()
+        n_valid = len(enumerate_space(space, ds))
+        budgets = [
+            None,
+            SearchBudget(n_valid),
+            SearchBudget(n_valid + 7, stagnation_limit=1),
+            SearchBudget(n_valid, master_seed=2**64 - 1),
+        ]
+
+        def answer(budget):
+            result = exhaustive_search(ds, space, CriterionKind.AIC, budget)
+            log = [(cfg, np.float64(value).tobytes()) for cfg, value in result.candidate_log]
+            return (
+                log, result.trajectory, result.evaluations_used,
+                result.skipped_invalid, result.best_fit.residuals.tobytes(),
+            )
+
+        first, *rest = [answer(budget) for budget in budgets]
+        assert first[2] == n_valid
+        for other in rest:
+            assert other == first
+
     def test_huge_raw_space_raises(self):
         ds = make_dataset(
             np.random.default_rng(1).normal(size=(40, 22)),

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from varsearch import (
+    CoefficientGenome,
+    CriterionKind,
     ModelConfig,
     NumericOverflowError,
     RankDeficientError,
     Role,
     TimeSeriesDataset,
     build_regression_system,
+    coefficient_fitness,
     fit,
     residual_covariance,
     solve_least_squares,
@@ -203,6 +206,22 @@ class TestFit:
         with mock.patch.object(ols, "solve_least_squares", huge):
             with pytest.raises(NumericOverflowError):
                 fit(counting_series, counting_config)
+
+    @pytest.mark.parametrize("row", ["overflowing sum", "inf"])
+    def test_residuals_past_float_range_score_plus_infinity(self, row):
+        # an intercept row of -c gives each residual column e'e = 1e308, so
+        # every Sigma_ii is finite while E's sum of squares, 2e308, is not;
+        # the columns are then nearly equal, and without the test of that
+        # sum Sigma would read as singular: -inf, the best possible score
+        ds = make_dataset(np.random.default_rng(0).normal(size=(50, 2)))
+        cfg = ModelConfig(p=1, q=0, dependent_mask=(True, True))
+        theta = np.zeros((3, 2))
+        theta[2] = -np.sqrt(1e308 / 49) if row == "overflowing sum" else np.inf
+        genome = CoefficientGenome(cfg, theta)
+        assert coefficient_fitness(ds, genome, CriterionKind.AIC) == np.inf
+        with mock.patch.object(ols, "solve_least_squares", lambda sys: theta):
+            with pytest.raises(NumericOverflowError):
+                fit(ds, cfg)
 
 
 def test_residual_orthogonality():

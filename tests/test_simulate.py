@@ -201,6 +201,13 @@ class TestRandomStableCoefficients:
         with pytest.raises(ValueError, match="d >= 1"):
             random_stable_coefficients(n=1, p=1, d=0, q=1)
 
+    @pytest.mark.parametrize("d, q", [(3, 0), (-1, 0), (0, -1)])
+    def test_refuses_exogenous_sizes_that_do_not_pair(self, d, q):
+        # d > 0 with q = 0 would draw no exogenous block, so the d columns
+        # would silently drop out of the model
+        with pytest.raises(ValueError, match=f"d={d}, q={q}"):
+            random_stable_coefficients(n=1, p=1, d=d, q=q)
+
     def test_constant_toggle(self):
         assert random_stable_coefficients(n=1, p=1, include_constant=False).c is None
         assert random_stable_coefficients(n=1, p=1).c.shape == (1, 1)
