@@ -8,185 +8,29 @@ how close it gets to the least-squares optimum.  Synthetic generation,
 forecasting, CSV ingestion and reporting round out the toolkit.
 """
 
-from ._version import __version__
-from .coeffsearch import (
-    CoefficientGenome,
-    CoeffSearchOutcome,
-    CoeffSearchParams,
-    ComparisonReport,
-    coefficient_fitness,
-    compare_with_ols,
-    search_coefficients,
-    search_coefficients_full,
-)
-from .criteria import (
-    CriterionKind,
-    criterion_from_log_det,
-    evaluate_criterion,
-    log_det_cov,
-    penalty_weight,
-)
-from .csvio import (
-    format_csv,
-    load_dataset,
-    load_future_matrix,
-    read_matrix_csv,
-    write_csv,
-)
-from .design import RegressionSystem, build_regression_system
-from .errors import (
-    CsvError,
-    DuplicateNameError,
-    EmptyCsvError,
-    EmptySpaceError,
-    ForecastInputError,
-    HQCUndefinedError,
-    InvalidHeaderError,
-    MissingColumnError,
-    NonNumericCellError,
-    NumericOverflowError,
-    RaggedRowError,
-    RankDeficientError,
-    TooLargeError,
-    UnstableError,
-    ValidationError,
-    VarsearchError,
-)
-from .model import (
-    CoefficientSet,
-    FitResult,
-    ModelConfig,
-    Role,
-    TimeSeriesDataset,
-    count_parameters,
-    structural_violations,
-    validate_config,
-)
-from .ols import (
-    DEGENERATE_RTOL,
-    RANK_RTOL,
-    fit,
-    residual_covariance,
-    solve_least_squares,
-    unflatten_coefficients,
-)
-from .reports import (
-    ForecastReport,
-    RunConfig,
-    SimulationReport,
-    parse_report,
-    write_report,
-)
-from .search import (
-    GAParams,
-    GraspParams,
-    HybridParams,
-    PartitionMode,
-    ScatterParams,
-    SearchBudget,
-    SearchMethod,
-    SearchResult,
-    SearchSpace,
-    TabuParams,
-    derive_candidate_seed,
-    enumerate_space,
-    evaluate_config,
-    exhaustive_search,
-    ga_search,
-    grasp_search,
-    hybrid_search,
-    scatter_search,
-    tabu_search,
-)
-from .simulate import (
-    GeneratorSpec,
-    companion_matrix,
-    companion_spectral_radius,
-    forecast,
-    generate,
-    random_stable_coefficients,
-)
+from . import _version, coeffsearch, criteria, csvio, design, errors
+from . import model, ols, reports, search, simulate
+from ._version import *
+from .coeffsearch import *
+from .criteria import *
+from .csvio import *
+from .design import *
+from .errors import *
+from .model import *
+from .ols import *
+from .reports import *
+from .search import *
+from .simulate import *
 
-__all__ = [
-    "__version__",
-    "CoefficientGenome",
-    "CoeffSearchOutcome",
-    "CoeffSearchParams",
-    "ComparisonReport",
-    "coefficient_fitness",
-    "compare_with_ols",
-    "search_coefficients",
-    "search_coefficients_full",
-    "CriterionKind",
-    "criterion_from_log_det",
-    "evaluate_criterion",
-    "log_det_cov",
-    "penalty_weight",
-    "format_csv",
-    "load_dataset",
-    "load_future_matrix",
-    "read_matrix_csv",
-    "write_csv",
-    "RegressionSystem",
-    "build_regression_system",
-    "CsvError",
-    "DuplicateNameError",
-    "EmptyCsvError",
-    "EmptySpaceError",
-    "ForecastInputError",
-    "HQCUndefinedError",
-    "InvalidHeaderError",
-    "MissingColumnError",
-    "NonNumericCellError",
-    "NumericOverflowError",
-    "RaggedRowError",
-    "RankDeficientError",
-    "TooLargeError",
-    "UnstableError",
-    "ValidationError",
-    "VarsearchError",
-    "CoefficientSet",
-    "FitResult",
-    "ModelConfig",
-    "Role",
-    "TimeSeriesDataset",
-    "count_parameters",
-    "structural_violations",
-    "validate_config",
-    "DEGENERATE_RTOL",
-    "RANK_RTOL",
-    "fit",
-    "residual_covariance",
-    "solve_least_squares",
-    "unflatten_coefficients",
-    "ForecastReport",
-    "RunConfig",
-    "SimulationReport",
-    "parse_report",
-    "write_report",
-    "GAParams",
-    "GraspParams",
-    "HybridParams",
-    "PartitionMode",
-    "ScatterParams",
-    "SearchBudget",
-    "SearchMethod",
-    "SearchResult",
-    "SearchSpace",
-    "TabuParams",
-    "derive_candidate_seed",
-    "enumerate_space",
-    "evaluate_config",
-    "exhaustive_search",
-    "ga_search",
-    "grasp_search",
-    "hybrid_search",
-    "scatter_search",
-    "tabu_search",
-    "GeneratorSpec",
-    "companion_matrix",
-    "companion_spectral_radius",
-    "forecast",
-    "generate",
-    "random_stable_coefficients",
-]
+__all__ = []
+__all__ += _version.__all__
+__all__ += coeffsearch.__all__
+__all__ += criteria.__all__
+__all__ += csvio.__all__
+__all__ += design.__all__
+__all__ += errors.__all__
+__all__ += model.__all__
+__all__ += ols.__all__
+__all__ += reports.__all__
+__all__ += search.__all__
+__all__ += simulate.__all__

@@ -84,17 +84,16 @@ def qr_pivoted(x):
 
 
 def solve_upper(r, b):
-    """``scipy.linalg.solve_triangular(r, b, lower=False)`` for a non-empty
-    ndarray ``b``, which is not overwritten.
+    """``scipy.linalg.solve_triangular(r, b, lower=False)`` for the R of
+    ``qr_pivoted`` and a non-empty ndarray ``b``, which is not overwritten.
 
-    Raises ``np.linalg.LinAlgError`` when a diagonal of ``r`` is zero.
+    dtrtrs reads Fortran order, so a C-ordered R is solved transposed, as
+    scipy solves it; that R is Fortran-ordered only at 1 x 1, where scipy's
+    untransposed call gives the same bits.  Raises ``np.linalg.LinAlgError``
+    when a diagonal of ``r`` is zero.
     """
     r1, b1 = np.asarray_chkfinite(r), np.asarray_chkfinite(b)
-    if r1.flags.f_contiguous:
-        x, info = flapack.dtrtrs(r1, b1, lower=False, trans=0)
-    else:
-        # dtrtrs reads Fortran order, so a C-ordered r is solved transposed
-        x, info = flapack.dtrtrs(r1.T, b1, lower=True, trans=1)
+    x, info = flapack.dtrtrs(r1.T, b1, lower=True, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}"

@@ -1,5 +1,24 @@
 """Exception types raised across the package."""
 
+__all__ = [
+    "VarsearchError",
+    "ValidationError",
+    "RankDeficientError",
+    "HQCUndefinedError",
+    "NumericOverflowError",
+    "EmptySpaceError",
+    "TooLargeError",
+    "UnstableError",
+    "ForecastInputError",
+    "CsvError",
+    "EmptyCsvError",
+    "DuplicateNameError",
+    "InvalidHeaderError",
+    "MissingColumnError",
+    "RaggedRowError",
+    "NonNumericCellError",
+]
+
 
 class VarsearchError(Exception):
     """Base class for all package-specific errors."""
@@ -49,9 +68,9 @@ class TooLargeError(VarsearchError):
 class UnstableError(VarsearchError):
     """Generator coefficients describe an explosive process."""
 
-    def __init__(self, radius):
+    def __init__(self, radius, limit):
         self.radius = radius
-        super().__init__(f"companion spectral radius {radius:.6f} >= 0.999")
+        super().__init__(f"companion spectral radius {radius:.6f} >= {limit}")
 
 
 class ForecastInputError(VarsearchError):

@@ -30,6 +30,7 @@ __all__ = [
     "FitResult",
     "validate_config",
     "count_parameters",
+    "structural_violations",
 ]
 
 

@@ -131,12 +131,12 @@ def residual_covariance(sys: RegressionSystem, theta: np.ndarray):
 def _snap_limits(sys: RegressionSystem) -> np.ndarray:
     """The largest Sigma_ii = ||e_i||^2 / T' of a perfect fit of equation i,
     (DEGENERATE_RTOL ||y_i||)^2 / T'; raises ``NumericOverflowError`` when
-    ||Y|| is not finite, as the test would then compare inf with inf."""
+    ||Y||^2 is not finite, as the test would then compare inf with inf."""
     with np.errstate(over="ignore"):
-        y_norm = float(np.linalg.norm(sys.y))
-    if not math.isfinite(y_norm):
-        raise NumericOverflowError()
-    return DEGENERATE_RTOL**2 * np.einsum("ij,ij->j", sys.y, sys.y) / sys.effective_t
+        squares = np.einsum("ij,ij->j", sys.y, sys.y)
+        if not math.isfinite(squares.sum()):
+            raise NumericOverflowError()
+    return DEGENERATE_RTOL**2 * squares / sys.effective_t
 
 
 def _residual_log_det(sys: RegressionSystem, theta: np.ndarray, limits: np.ndarray):

@@ -1,44 +1,11 @@
-from .space import (
-    PartitionMode,
-    SearchBudget,
-    SearchMethod,
-    SearchResult,
-    SearchSpace,
-    enumerate_space,
-)
-from .evaluation import derive_candidate_seed, evaluate_config
-from .engines import (
-    exhaustive_search,
-    ga_search,
-    grasp_search,
-    hybrid_search,
-    scatter_search,
-    tabu_search,
-    GAParams,
-    GraspParams,
-    HybridParams,
-    ScatterParams,
-    TabuParams,
-)
+"""Configuration search: the space, candidate scoring and the engines."""
 
-__all__ = [
-    "PartitionMode",
-    "SearchBudget",
-    "SearchMethod",
-    "SearchResult",
-    "SearchSpace",
-    "enumerate_space",
-    "derive_candidate_seed",
-    "evaluate_config",
-    "exhaustive_search",
-    "ga_search",
-    "grasp_search",
-    "hybrid_search",
-    "scatter_search",
-    "tabu_search",
-    "GAParams",
-    "GraspParams",
-    "HybridParams",
-    "ScatterParams",
-    "TabuParams",
-]
+from . import space, evaluation, engines
+from .space import *
+from .evaluation import *
+from .engines import *
+
+__all__ = []
+__all__ += space.__all__
+__all__ += evaluation.__all__
+__all__ += engines.__all__

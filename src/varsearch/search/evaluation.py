@@ -25,7 +25,7 @@ from ..errors import NumericOverflowError, RankDeficientError, ValidationError
 from ..model import ModelConfig, TimeSeriesDataset, validate_config
 from ..ols import RANK_RTOL, fit
 
-__all__ = ["derive_candidate_seed", "evaluate_config", "CrossProductEvaluator"]
+__all__ = ["derive_candidate_seed", "evaluate_config"]
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

@@ -177,7 +177,7 @@ def generate(spec: GeneratorSpec) -> TimeSeriesDataset:
     if spec.noise_scale > 0:
         radius = companion_spectral_radius(coef)
         if radius >= STABILITY_LIMIT:
-            raise UnstableError(radius)
+            raise UnstableError(radius, STABILITY_LIMIT)
     rng = np.random.default_rng(spec.seed)
     total = spec.burn_in + spec.t
     row_start = max(coef.p, coef.q)

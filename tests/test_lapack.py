@@ -76,15 +76,16 @@ def test_qr_and_solve_match_scipy_bit_for_bit(system):
         assert got.tobytes() == ref.tobytes()
     z = q.T @ y
     z_before = z.tobytes()
-    # a C-ordered and a Fortran-ordered R take the two dtrtrs branches
-    for r_in in (r, np.asfortranarray(r)):
-        try:
-            expected = scipy.linalg.solve_triangular(r_in, z, lower=False)
-        except np.linalg.LinAlgError as error:
-            with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(error))):
-                _lapack.solve_upper(r_in, z)
-            continue
-        theta = _lapack.solve_upper(r_in, z)
+    # qr_pivoted's R is C-ordered, and also Fortran-ordered at K = 1, where
+    # scipy takes its untransposed dtrtrs call
+    assert r.flags.c_contiguous and r.flags.f_contiguous == (r.shape[1] == 1)
+    try:
+        expected = scipy.linalg.solve_triangular(r, z, lower=False)
+    except np.linalg.LinAlgError as error:
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(error))):
+            _lapack.solve_upper(r, z)
+    else:
+        theta = _lapack.solve_upper(r, z)
         assert theta.dtype == expected.dtype
         assert theta.tobytes() == expected.tobytes()
     assert z.tobytes() == z_before

@@ -22,6 +22,7 @@ from varsearch import (
     random_stable_coefficients,
 )
 
+from varsearch import simulate
 from varsearch.csvio import _BLOCK_ROWS
 
 from .conftest import make_dataset
@@ -118,6 +119,13 @@ class TestGenerate:
         with pytest.raises(UnstableError) as excinfo:
             generate(spec_)
         assert excinfo.value.radius == pytest.approx(1.2, abs=1e-9)
+
+    def test_unstable_error_names_the_limit_applied(self, monkeypatch):
+        monkeypatch.setattr(simulate, "STABILITY_LIMIT", 0.5)
+        coef = random_stable_coefficients(n=2, p=1, seed=6, radius=0.7)
+        spec_ = GeneratorSpec(coefficients=coef, t=50, noise_scale=0.5, burn_in=0)
+        with pytest.raises(UnstableError, match="^companion spectral radius 0.700000 >= 0.5$"):
+            generate(spec_)
 
     def test_unstable_but_noiseless_is_allowed(self):
         coef = ar_coefficients(1.0)  # unit root
