@@ -67,16 +67,17 @@ def _workspace_call(routine, *args, **kwargs):
     return result[:-2]
 
 
-def qr_pivoted(x):
-    """``scipy.linalg.qr(x, mode="economic", pivoting=True)`` for an M x N
-    ndarray, M >= N >= 1.
+def qr_pivoted(x, overwrite_x=False):
+    """``scipy.linalg.qr(x, overwrite_a=overwrite_x, mode="economic",
+    pivoting=True)`` for an M x N ndarray, M >= N >= 1.
 
-    Returns ``(q, r, piv)``.  scipy lets LAPACK overwrite only an array that
-    ``np.asarray`` copied, never an ndarray passed in, so ``dgeqp3`` works on
-    a copy here and ``x`` is never overwritten.
+    Returns ``(q, r, piv)``.  By default ``dgeqp3`` works on a copy and ``x``
+    is never overwritten.  With ``overwrite_x`` a Fortran-ordered ``x`` is
+    factored in its own memory, which holds ``q`` on return; any other
+    layout is still copied, as LAPACK reads Fortran order only.
     """
     a = np.asarray_chkfinite(x)
-    qr, piv, tau = _workspace_call(flapack.dgeqp3, a)
+    qr, piv, tau = _workspace_call(flapack.dgeqp3, a, overwrite_a=overwrite_x)
     piv -= 1  # dgeqp3 numbers columns from 1
     r = np.triu(qr[: a.shape[1], :])
     (q,) = _workspace_call(flapack.dorgqr, qr, tau, overwrite_a=1)

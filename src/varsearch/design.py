@@ -7,7 +7,8 @@ For regression row r (time point j = row_start + r) the design row is
 with y restricted to the dependent columns and z to the independent
 columns of the configuration.  Column blocks are ordered lag-1 first and
 the constant column, when present, comes last.  X and Y are gathered
-through one column map from one lag window, which the search evaluator reads.
+through one column map from one lag window, which the search evaluator reads
+and ``fit`` gathers X through again after factoring it in place.
 """
 
 from __future__ import annotations
@@ -91,16 +92,28 @@ def build_regression_system(
     if violations:
         raise ValidationError(violations)
     start = cfg.row_start if row_start is None else row_start
-    window = _lag_window(ds.observations, start, start)
     columns, deps = _window_columns(cfg, ds.n_vars)
     # the layout stacking the lag blocks gave, which the products' last bits
     # depend on: C order when every block is one column, else Fortran order
     order = "C" if len(columns) == cfg.p + cfg.q else "F"
-    x = np.empty((window.shape[0], cfg.n_design_columns()), order=order)
-    y = np.empty((window.shape[0], len(deps)))
-    for out, cols in ((x, columns), (y, deps)):
-        for j, column in enumerate(cols):
-            lag, variable = divmod(column, ds.n_vars)
-            out[:, j] = window[:, lag, variable]  # a basic slice, nothing gathered
-    x[:, len(columns) :] = 1.0
+    x = np.empty((ds.n_obs - start, cfg.n_design_columns()), order=order)
+    y = np.empty((ds.n_obs - start, len(deps)))
+    _gather(x, ds, start, columns)
+    _gather(y, ds, start, deps)
     return RegressionSystem(y=y, x=x, config=cfg, row_start=start)
+
+
+def _gather(out, ds: TimeSeriesDataset, start: int, columns) -> None:
+    """Write column ``columns[j]`` of the flattened lag-window rows from
+    ``start`` into ``out[:, j]``, and 1.0 into the columns of ``out`` past them."""
+    window = _lag_window(ds.observations, start, start)
+    for j, column in enumerate(columns):
+        lag, variable = divmod(column, ds.n_vars)
+        out[:, j] = window[:, lag, variable]  # a basic slice, nothing gathered
+    out[:, len(columns) :] = 1.0
+
+
+def _regather_design(ds: TimeSeriesDataset, sys: RegressionSystem) -> None:
+    """Write the design X of ``sys``, built from ``ds``, into ``sys.x`` again,
+    bit for bit, after a factorization has used its memory."""
+    _gather(sys.x, ds, sys.row_start, _window_columns(sys.config, ds.n_vars)[0])

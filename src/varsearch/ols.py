@@ -16,7 +16,7 @@ import numpy as np
 from ._blas import one_blas_thread
 from ._lapack import qr_pivoted, solve_upper
 from .criteria import CriterionKind, _log_det_symmetric, criterion_from_log_det
-from .design import RegressionSystem, build_regression_system
+from .design import RegressionSystem, _regather_design, build_regression_system
 from .errors import (
     HQCUndefinedError,
     NumericOverflowError,
@@ -48,8 +48,12 @@ RANK_RTOL = 1e-10
 DEGENERATE_RTOL = 1e-12
 
 
-def solve_least_squares(sys: RegressionSystem) -> np.ndarray:
+def solve_least_squares(sys: RegressionSystem, overwrite_x=False) -> np.ndarray:
     """Minimize ||X Theta - Y||_F via a pivoted QR factorization of X.
+
+    ``sys.x`` is left as it is unless ``overwrite_x``: then a Fortran-ordered
+    X is factored in its own memory (see ``qr_pivoted``), which holds Q, not
+    X, once the factorization has run, whether the call returns or raises.
 
     Returns
     -------
@@ -68,7 +72,7 @@ def solve_least_squares(sys: RegressionSystem) -> np.ndarray:
         raise ValidationError(
             [f"need T' > K for a determined system, got T'={x.shape[0]}, K={x.shape[1]}"]
         )
-    q, r, piv = qr_pivoted(x)
+    q, r, piv = qr_pivoted(x, overwrite_x)
     # ||x_piv[j]|| = ||R[:, j]||, taken on R scaled per column so that no
     # square overflows or underflows; a zero column gives 0 / 0, which fails
     with np.errstate(invalid="ignore"):
@@ -122,7 +126,8 @@ def residual_covariance(sys: RegressionSystem, theta: np.ndarray):
             f"theta has shape {theta.shape}, expected "
             f"({sys.x.shape[1]}, {sys.y.shape[1]})"
         )
-    residuals = sys.y - sys.x @ theta
+    residuals = sys.x @ theta
+    np.subtract(sys.y, residuals, out=residuals)
     sigma = residuals.T @ residuals / sys.effective_t
     sigma = 0.5 * (sigma + sigma.T)
     return residuals, sigma
@@ -192,10 +197,17 @@ def fit(ds: TimeSeriesDataset, cfg: ModelConfig, row_start=None) -> FitResult:
 
 
 def _fit_system(ds: TimeSeriesDataset, sys: RegressionSystem) -> FitResult:
-    """``fit`` on a regression system already built."""
+    """``fit`` on a regression system already built from ``ds``.
+
+    X is factored in its own memory and gathered back from ``ds`` on every
+    exit, so X and its Q never exist at once and ``sys`` is unchanged.
+    """
     cfg = sys.config
     limits = _snap_limits(sys)
-    theta = solve_least_squares(sys)
+    try:
+        theta = solve_least_squares(sys, overwrite_x=True)
+    finally:
+        _regather_design(ds, sys)
     residuals, sigma, log_det = _residual_log_det(sys, theta, limits)
     if log_det == math.inf:
         raise NumericOverflowError()

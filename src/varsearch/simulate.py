@@ -186,12 +186,17 @@ def generate(spec: GeneratorSpec) -> TimeSeriesDataset:
     if not isinstance(z, np.ndarray):  # a random walk, of no columns when q = 0
         z = np.cumsum(rng.normal(0.0, 1.0, size=(total, d)), axis=0)
 
-    y = np.zeros((total, n))
+    # y is written into the output's leading columns: the recursion only
+    # copies rows in and out of it, so its layout reaches no product, while
+    # the B_i products read z itself, which is copied in afterwards
+    out = np.zeros((total, n + d))
     if spec.initial_state is not None:
-        y[:row_start] = spec.initial_state
-    _recur(coef, y, z, row_start, rng, spec.noise_scale)
+        out[:row_start, :n] = spec.initial_state
+    _recur(coef, out[:, :n], z, row_start, rng, spec.noise_scale)
+    out[:, n:] = z
+    del z  # the dataset's frozen copy is made next
 
-    observations = np.hstack([y, z])[spec.burn_in :]
+    observations = out[spec.burn_in :]
     names = [f"y{i + 1}" for i in range(n)] + [f"z{i + 1}" for i in range(d)]
     roles = (Role.DEPENDENT,) * n + (Role.INDEPENDENT,) * d
     return TimeSeriesDataset(observations=observations, names=tuple(names), roles=roles)

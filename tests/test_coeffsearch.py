@@ -440,6 +440,41 @@ class TestCompareWithOls:
         assert report.evaluations_used == outcome.evaluations_used
         assert report.effective_t == ols_fit.effective_t
 
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_the_fit_leaves_the_search_system_as_it_was(self, monkeypatch, deficient):
+        # the fit factors X in its own memory and gathers it back, also when
+        # the rank test raises after factoring; v2 a copy of v1 makes the
+        # lag-1 block of X deficient
+        obs = np.random.default_rng(2).normal(size=(80, 2))
+        if deficient:
+            obs[:, 1] = obs[:, 0]
+        ds = make_dataset(obs)
+        cfg = ModelConfig(p=1, q=0, dependent_mask=(True, True))
+        built, in_place = [], []
+        build, factor = coeffsearch.build_regression_system, ols.qr_pivoted
+
+        def spy_build(*args, **kwargs):
+            sys = build(*args, **kwargs)
+            built.append((sys, sys.x.tobytes("A"), sys.x.strides))
+            return sys
+
+        def spy_factor(x, overwrite_x=False):
+            q, r, piv = factor(x, overwrite_x)
+            in_place.append(np.shares_memory(q, built[0][0].x))
+            return q, r, piv
+
+        monkeypatch.setattr(coeffsearch, "build_regression_system", spy_build)
+        monkeypatch.setattr(ols, "qr_pivoted", spy_factor)
+        args = (ds, cfg, CriterionKind.AIC, SearchMethod.GA, SearchBudget(40, master_seed=1))
+        if deficient:
+            with pytest.raises(RankDeficientError):
+                compare_with_ols(*args)
+        else:
+            compare_with_ols(*args)
+        [(sys, x_bytes, strides)] = built
+        assert in_place == [True]
+        assert (sys.x.tobytes("A"), sys.x.strides) == (x_bytes, strides)
+
     @pytest.mark.parametrize(
         "values, error",
         [(np.zeros((30, 2)), RankDeficientError), (np.eye(5, 2), ValidationError)],

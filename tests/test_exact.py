@@ -10,7 +10,9 @@ model form, [y lags | z lags | 1], not by ``design.py``.
 
 Checked against the exact values:
 - ``fit``'s ln det Sigma within ``QR_BOUND``;
-- each value ``CrossProductEvaluator._screen`` gives within its own bound.
+- each value ``CrossProductEvaluator._screen`` gives within its own bound;
+- ``fit`` raises ``RankDeficientError`` on a design whose columns a stated
+  combination sends exactly to zero.
 """
 
 import itertools
@@ -22,7 +24,9 @@ import pytest
 
 from varsearch import (
     CriterionKind,
+    ModelConfig,
     PartitionMode,
+    RankDeficientError,
     Role,
     SearchSpace,
     TimeSeriesDataset,
@@ -57,15 +61,20 @@ def _gram_det(columns) -> Fraction:
     return det
 
 
-def _exact_log_det(obs, cfg, row_start) -> Decimal:
-    """ln det(E'E / T') of the exact least-squares fit of rows row_start on."""
+def _model_form(obs, cfg, row_start):
+    """Columns of X, [y lags | z lags | 1], and of Y for rows row_start on."""
     t = len(obs)
     dependent, independent = cfg.dependent_indices, cfg.independent_indices
     x = [obs[row_start - lag : t - lag, i] for lag in range(1, cfg.p + 1) for i in dependent]
     x += [obs[row_start - lag : t - lag, i] for lag in range(1, cfg.q + 1) for i in independent]
     if cfg.include_constant:
         x.append(np.ones(t - row_start))
-    y = [obs[row_start:, i] for i in dependent]
+    return x, [obs[row_start:, i] for i in dependent]
+
+
+def _exact_log_det(obs, cfg, row_start) -> Decimal:
+    """ln det(E'E / T') of the exact least-squares fit of rows row_start on."""
+    x, y = _model_form(obs, cfg, row_start)
     x, y = [_integer_column(c) for c in x], [_integer_column(c) for c in y]
     ratio = _gram_det([c for c, _ in x + y]) / _gram_det([c for c, _ in x])
     for _, den in y:
@@ -73,7 +82,7 @@ def _exact_log_det(obs, cfg, row_start) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = _DIGITS
         log_det = (Decimal(ratio.numerator) / Decimal(ratio.denominator)).ln()
-        return log_det - len(y) * Decimal(t - row_start).ln()
+        return log_det - len(y) * Decimal(len(obs) - row_start).ln()
 
 
 def _exact_criterion(kind, log_det: Decimal, n_params, effective_t) -> Decimal:
@@ -147,3 +156,51 @@ def test_qr_and_screen_against_exact_values(seed):
             n_params = cfg.n_dependent * cfg.n_design_columns()
             truth = _exact_criterion(kind, exact, n_params, effective_t)
             assert abs(float(Decimal(value) - truth)) <= bound, cfg
+
+
+def _dependent_problem(relation, seed, scale):
+    """Data whose design columns are exactly dependent, its configuration and
+    weights w, one per column of X, with X w = 0 by construction.
+
+    a and b lie in [2, 3] times ``scale``, so a - b is exact (Sterbenz), and
+    so are -a / 2, a copy of a one step late and a repeated float.
+    """
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(12, 61)) + 2
+    a, b = (scale * (2.0 + rng.random(t)) for _ in range(2))
+    constant = seed % 2 == 0 or relation == "constant"
+    dependent = (True, True, True)
+    if relation == "difference":  # X = [a | b | a - b | (1)]
+        obs, p, weights = [a, b, a - b], 1, [1, -1, -1]
+    elif relation == "multiple":  # X = [a | -a / 2 | (1)], b independent
+        obs, p, weights = [a, -0.5 * a, b], 1, [1, 2]
+        dependent = (True, True, False)
+    elif relation == "delayed":  # X = [a1 | c1 | b1 | a2 | c2 | b2 | (1)], c1 = a2
+        obs, p, weights = [a, np.r_[b[0], a[:-1]], b], 2, [0, 1, 0, -1, 0, 0]
+    else:  # "constant": X = [a | b | v | 1], the third series all v
+        v = float(b[0])
+        obs, p, weights = [a, b, np.full(t, v)], 1, [0, 0, 1, -v]
+    cfg = ModelConfig(p=p, q=0, dependent_mask=dependent, include_constant=constant)
+    if constant and relation != "constant":
+        weights = weights + [0]
+    roles = [Role.DEPENDENT if m else Role.INDEPENDENT for m in dependent]
+    ds = TimeSeriesDataset(np.column_stack(obs), ["a", "b", "c"], roles)
+    return ds, cfg, weights
+
+
+DEPENDENT_CASES = list(
+    itertools.product(("difference", "multiple", "delayed", "constant"), (1e-8, 1.0, 3.7, 1e8))
+)
+
+
+@pytest.mark.parametrize("seed", range(len(DEPENDENT_CASES)))
+def test_exactly_dependent_columns_raise_rank_deficient(seed):
+    relation, scale = DEPENDENT_CASES[seed]
+    ds, cfg, weights = _dependent_problem(relation, seed, scale)
+    x, _ = _model_form(ds.observations, cfg, cfg.row_start)
+    assert len(weights) == len(x) == cfg.n_design_columns() and any(weights)
+    # X w = 0 in exact arithmetic, each float read as the rational it is
+    for row in zip(*(c.tolist() for c in x)):
+        assert sum(Fraction(w) * Fraction(v) for w, v in zip(weights, row)) == 0
+    with pytest.raises(RankDeficientError):
+        fit(ds, cfg)

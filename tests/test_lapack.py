@@ -91,6 +91,22 @@ def test_qr_and_solve_match_scipy_bit_for_bit(system):
     assert z.tobytes() == z_before
 
 
+@settings(max_examples=100, deadline=None)
+@given(designs())
+def test_factoring_in_place_gives_the_same_bits(system):
+    x, _ = system
+    expected = _lapack.qr_pivoted(x)
+    work = x.copy(order="K")
+    got = _lapack.qr_pivoted(work, overwrite_x=True)
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape and g.tobytes("A") == e.tobytes("A")
+    # LAPACK factors a Fortran-ordered x in its own memory and copies any other
+    in_place = work.flags.f_contiguous
+    assert np.shares_memory(got[0], work) == in_place
+    if not in_place:
+        assert work.tobytes("A") == x.tobytes("A")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_raises_as_scipy_does(bad):
     x = np.random.default_rng(0).normal(size=(6, 2))

@@ -1,5 +1,6 @@
 """Least-squares solver: exactness, rank handling, optimality."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -78,6 +79,51 @@ def test_recovers_planted_coefficients():
     theta = solve_least_squares(sys)
     rel = np.linalg.norm(theta - theta_true) / np.linalg.norm(theta_true)
     assert rel <= 1e-10
+
+
+@pytest.mark.parametrize("copy", [False, True])
+@pytest.mark.parametrize("b_dependent", [False, True])
+def test_solve_leaves_its_system_as_it_was(b_dependent, copy):
+    # X = [a(t-1) | b(t-1) | 1] is stacked in C order when b is independent
+    # and in Fortran order when it is dependent; with b a copy of a, X is
+    # deficient and the solve raises after factoring it
+    obs = np.random.default_rng(8).normal(size=(40, 2))
+    if copy:
+        obs[:, 1] = obs[:, 0]
+    mask = (True, b_dependent)
+    ds = make_dataset(obs, roles=[Role.DEPENDENT if m else Role.INDEPENDENT for m in mask])
+    sys = build_regression_system(ds, ModelConfig(p=1, q=1 - b_dependent, dependent_mask=mask))
+    assert sys.x.flags.f_contiguous == b_dependent
+    before = [(a.tobytes("A"), a.strides) for a in (sys.x, sys.y)]
+    if copy:
+        with pytest.raises(RankDeficientError):
+            solve_least_squares(sys)
+    else:
+        solve_least_squares(sys)
+    assert [(a.tobytes("A"), a.strides) for a in (sys.x, sys.y)] == before
+
+
+# bytes a fit may hold beyond its arrays of T' rows: R, Theta, Sigma,
+# LAPACK's workspace and Python objects (about 14 KB measured)
+FIT_SLACK = 64 * 1024
+
+
+def test_a_fit_holds_its_design_or_its_q_never_both():
+    # X or its Q (T' x K), Y and E (T' x n each): (K + 2n) T' doubles at
+    # most, where a copy of X next to its Q would add K T' more
+    ds = noisy_dataset(seed=5, n=4, p=2, t=20_002)
+    cfg = ModelConfig(p=2, q=0, dependent_mask=(True,) * 4)
+    first = fit(ds, cfg)
+    tracemalloc.start()
+    try:
+        result = fit(ds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t, k, n = result.effective_t, cfg.n_design_columns(), cfg.n_dependent
+    assert (t, k, n) == (20_000, 9, 4)
+    assert peak <= (k + 2 * n) * t * 8 + FIT_SLACK
+    assert result.residuals.tobytes() == first.residuals.tobytes()
 
 
 class TestUnflatten:
@@ -200,7 +246,7 @@ class TestFit:
         self, counting_series, counting_config
     ):
         # ||Y|| is finite here, but E'E of these coefficients overflows
-        def huge(sys):
+        def huge(sys, overwrite_x=False):
             return np.full((sys.x.shape[1], sys.y.shape[1]), 1e300)
 
         with mock.patch.object(ols, "solve_least_squares", huge):
@@ -219,7 +265,7 @@ class TestFit:
         theta[2] = -np.sqrt(1e308 / 49) if row == "overflowing sum" else np.inf
         genome = CoefficientGenome(cfg, theta)
         assert coefficient_fitness(ds, genome, CriterionKind.AIC) == np.inf
-        with mock.patch.object(ols, "solve_least_squares", lambda sys: theta):
+        with mock.patch.object(ols, "solve_least_squares", lambda sys, overwrite_x=False: theta):
             with pytest.raises(NumericOverflowError):
                 fit(ds, cfg)
 

@@ -1,6 +1,7 @@
 """Synthetic generation, stability gating, and iterative forecasting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,22 @@ def generator_specs(draw):
 @given(generator_specs())
 def test_generate_is_bit_identical_to_the_row_loop(spec):
     assert generate(spec).observations.tobytes() == _oracle_generate(spec).tobytes()
+
+
+@pytest.mark.parametrize("d, q", [(0, 0), (2, 1)])
+def test_generate_holds_the_output_and_the_datasets_copy(d, q):
+    # the output, burn-in included, and the dataset's frozen copy of its
+    # sample: two copies of the series, plus one `_BLOCK_ROWS` block of rows
+    coef = random_stable_coefficients(n=4, p=2, d=d, q=q, seed=1)
+    spec = GeneratorSpec(coef, t=100_000, seed=3, exogenous="random_walk" if q else None)
+    tracemalloc.start()
+    try:
+        ds = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = ds.observations[0].nbytes
+    assert peak <= 2 * (spec.burn_in + spec.t) * row + _BLOCK_ROWS * row
 
 
 @settings(max_examples=20, deadline=None)
