@@ -76,10 +76,13 @@ def qr_pivoted(x, overwrite_x=False):
     factored in its own memory, which holds ``q`` on return; any other
     layout is still copied, as LAPACK reads Fortran order only.
     """
-    a = np.asarray_chkfinite(x)
-    qr, piv, tau = _workspace_call(flapack.dgeqp3, a, overwrite_a=overwrite_x)
+    # np.asarray_chkfinite's test, one column at a time, so that its boolean
+    # temporary is one column of x, not all of it
+    if not all(np.isfinite(column).all() for column in x.T):
+        raise ValueError("array must not contain infs or NaNs")
+    qr, piv, tau = _workspace_call(flapack.dgeqp3, x, overwrite_a=overwrite_x)
     piv -= 1  # dgeqp3 numbers columns from 1
-    r = np.triu(qr[: a.shape[1], :])
+    r = np.triu(qr[: x.shape[1], :])
     (q,) = _workspace_call(flapack.dorgqr, qr, tau, overwrite_a=1)
     return q, r, piv
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .criteria import CriterionKind, criterion_from_log_det
-from .design import build_regression_system
+from .design import _system_blocks, build_regression_system
 from .errors import VarsearchError
 from .model import CoefficientSet, ModelConfig, TimeSeriesDataset
 from .ols import (
@@ -197,7 +197,8 @@ class _CoeffProblem:
         self.system = build_regression_system(ds, cfg, row_start=common_row_start)
         self.kind = kind
         self.n_theta = self.system.n_columns * self.system.n_dependent
-        self._snap_limits = _snap_limits(self.system)
+        self._snap_limits = _snap_limits(self.system.y)
+        self._blocks = _system_blocks(self.system.x)
         y_scale = float(np.linalg.norm(self.system.y, axis=0).max())
         x_scale = float(np.linalg.norm(self.system.x, axis=0).max())
         scale = y_scale / x_scale if x_scale > 0 and y_scale > 0 else 1.0
@@ -207,7 +208,7 @@ class _CoeffProblem:
     def _log_det(self, theta: np.ndarray) -> float:
         sysm = self.system
         coef = theta.reshape(sysm.n_columns, sysm.n_dependent)
-        return _residual_log_det(sysm, coef, self._snap_limits)[2]
+        return _residual_log_det(sysm.y, coef, self._snap_limits, self._blocks)[2]
 
     def fitness(self, theta: np.ndarray) -> float:
         """Criterion value; +inf for non-finite residuals, -inf for a perfect fit."""

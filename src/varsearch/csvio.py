@@ -180,9 +180,9 @@ def load_dataset(path, dependent=None, independent=None) -> TimeSeriesDataset:
         roles = [
             Role.INDEPENDENT if n in independent else Role.DEPENDENT for n in names
         ]
-    return TimeSeriesDataset(
-        observations=matrix, names=tuple(names), roles=tuple(roles)
-    )
+    # the matrix was built here and nothing else holds it, so the dataset
+    # freezes it in place instead of copying it
+    return TimeSeriesDataset._adopt(matrix, names, roles)
 
 
 def load_future_matrix(path, expected_names) -> np.ndarray:

@@ -65,15 +65,29 @@ class TimeSeriesDataset:
     roles: tuple
 
     def __post_init__(self):
-        obs = np.atleast_2d(np.asarray(self.observations, dtype=float))
+        # a copy, so that no array of the caller's can alias the dataset
+        obs = np.array(self.observations, dtype=float, ndmin=2)
+        self._set(obs, self.names, self.roles)
+
+    @classmethod
+    def _adopt(cls, observations: np.ndarray, names, roles) -> TimeSeriesDataset:
+        """A dataset holding ``observations`` itself, frozen in place where the
+        constructor copies: for a float64 matrix in C order that the caller
+        made for the dataset and nothing else writes."""
+        ds = cls.__new__(cls)
+        ds._set(observations, names, roles)
+        return ds
+
+    def _set(self, obs: np.ndarray, names, roles) -> None:
+        """Check the fields and set them, freezing ``obs`` in place."""
         if obs.ndim != 2:
             raise ValueError(f"observations must be 2-D, got ndim={obs.ndim}")
         if obs.shape[0] < 1 or obs.shape[1] < 1:
             raise ValueError(f"need T >= 1 and m >= 1, got shape {obs.shape}")
         if not np.all(np.isfinite(obs)):
             raise ValueError("observations contain NaN or infinite entries")
-        names = tuple(str(n) for n in self.names)
-        roles = tuple(self.roles)
+        names = tuple(str(n) for n in names)
+        roles = tuple(roles)
         if len(names) != obs.shape[1]:
             raise ValueError(
                 f"{len(names)} names for {obs.shape[1]} columns"
@@ -88,7 +102,8 @@ class TimeSeriesDataset:
             raise ValueError("variable names must be unique")
         if not any(r is Role.DEPENDENT for r in roles):
             raise ValueError("at least one column must have role DEPENDENT")
-        object.__setattr__(self, "observations", _frozen_array(obs))
+        obs.setflags(write=False)
+        object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "roles", roles)
         object.__setattr__(self, "base_mask", tuple(r is Role.DEPENDENT for r in roles))

@@ -16,7 +16,14 @@ import numpy as np
 from ._blas import one_blas_thread
 from ._lapack import qr_pivoted, solve_upper
 from .criteria import CriterionKind, _log_det_symmetric, criterion_from_log_det
-from .design import RegressionSystem, _regather_design, build_regression_system
+from .design import (
+    RegressionSystem,
+    _design_blocks,
+    _regather_design,
+    _system_blocks,
+    _targets,
+    build_regression_system,
+)
 from .errors import (
     HQCUndefinedError,
     NumericOverflowError,
@@ -119,33 +126,46 @@ def unflatten_coefficients(
 
 
 def residual_covariance(sys: RegressionSystem, theta: np.ndarray):
-    """Residuals E = Y - X Theta and their ML covariance E'E / T'."""
+    """Residuals E = Y - X Theta and their ML covariance E'E / T'.
+
+    X Theta is taken over the row blocks ``fit`` takes it over, so E is
+    bit for bit the residuals of ``fit``.
+    """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (sys.x.shape[1], sys.y.shape[1]):
         raise ValueError(
             f"theta has shape {theta.shape}, expected "
             f"({sys.x.shape[1]}, {sys.y.shape[1]})"
         )
-    residuals = sys.x @ theta
-    np.subtract(sys.y, residuals, out=residuals)
-    sigma = residuals.T @ residuals / sys.effective_t
+    return _residual_covariance(sys.y, theta, _system_blocks(sys.x))
+
+
+def _residual_covariance(y: np.ndarray, theta: np.ndarray, blocks):
+    """E = Y - X Theta, with X Theta written block by block from the
+    ``(first row, rows of X)`` pairs ``blocks``, and E'E / T'."""
+    residuals = np.empty(y.shape)
+    for lo, x in blocks:
+        np.matmul(x, theta, out=residuals[lo : lo + len(x)])
+    np.subtract(y, residuals, out=residuals)
+    sigma = residuals.T @ residuals / len(y)
     sigma = 0.5 * (sigma + sigma.T)
     return residuals, sigma
 
 
-def _snap_limits(sys: RegressionSystem) -> np.ndarray:
+def _snap_limits(y: np.ndarray) -> np.ndarray:
     """The largest Sigma_ii = ||e_i||^2 / T' of a perfect fit of equation i,
     (DEGENERATE_RTOL ||y_i||)^2 / T'; raises ``NumericOverflowError`` when
     ||Y||^2 is not finite, as the test would then compare inf with inf."""
     with np.errstate(over="ignore"):
-        squares = np.einsum("ij,ij->j", sys.y, sys.y)
+        squares = np.einsum("ij,ij->j", y, y)
         if not math.isfinite(squares.sum()):
             raise NumericOverflowError()
-    return DEGENERATE_RTOL**2 * squares / sys.effective_t
+    return DEGENERATE_RTOL**2 * squares / len(y)
 
 
-def _residual_log_det(sys: RegressionSystem, theta: np.ndarray, limits: np.ndarray):
-    """Residuals E = Y - X Theta, Sigma = E'E / T' and ln det Sigma.
+def _residual_log_det(y: np.ndarray, theta: np.ndarray, limits: np.ndarray, blocks):
+    """Residuals E = Y - X Theta, Sigma = E'E / T' and ln det Sigma, with X
+    in ``blocks`` (see ``_residual_covariance``).
 
     ln det Sigma is -inf for a perfect fit of any equation, Sigma_ii <=
     ``limits[i]`` (see ``_snap_limits``), and +inf when Sigma or E's sum of
@@ -154,13 +174,13 @@ def _residual_log_det(sys: RegressionSystem, theta: np.ndarray, limits: np.ndarr
     here, so their values agree bit for bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals, sigma = residual_covariance(sys, theta)
-        total = float(sigma.trace()) * sys.effective_t
+        residuals, sigma = _residual_covariance(y, theta, blocks)
+        total = float(sigma.trace()) * len(y)
     if not (math.isfinite(total) and np.all(np.isfinite(sigma))):
         return residuals, sigma, math.inf
     if (sigma.diagonal() <= limits).any():
         return residuals, sigma, -math.inf
-    # residual_covariance made sigma exactly symmetric, and it is finite here
+    # _residual_covariance made sigma exactly symmetric, and it is finite here
     return residuals, sigma, _log_det_symmetric(sigma)
 
 
@@ -179,6 +199,10 @@ def _criterion_map(log_det: float, n_params: int, effective_t: int) -> dict:
 def fit(ds: TimeSeriesDataset, cfg: ModelConfig, row_start=None) -> FitResult:
     """Estimate one configuration by OLS and score it under all criteria.
 
+    X is factored in its own memory and freed before E is made, for which
+    X is gathered again one block of rows at a time, so X, its Q and E are
+    never held at once.
+
     Parameters
     ----------
     ds : TimeSeriesDataset
@@ -193,22 +217,40 @@ def fit(ds: TimeSeriesDataset, cfg: ModelConfig, row_start=None) -> FitResult:
     NumericOverflowError
         When ||Y||, ||E|| or the residual covariance is not finite.
     """
-    return _fit_system(ds, build_regression_system(ds, cfg, row_start=row_start))
+    sys = build_regression_system(ds, cfg, row_start=row_start)
+    y, start, limits = sys.y, sys.row_start, _snap_limits(sys.y)
+    theta = solve_least_squares(sys, overwrite_x=True)
+    del sys  # X, which holds Q now
+    return _fit_from_theta(ds, cfg, start, theta, y, limits)
 
 
 def _fit_system(ds: TimeSeriesDataset, sys: RegressionSystem) -> FitResult:
-    """``fit`` on a regression system already built from ``ds``.
-
-    X is factored in its own memory and gathered back from ``ds`` on every
-    exit, so X and its Q never exist at once and ``sys`` is unchanged.
-    """
-    cfg = sys.config
-    limits = _snap_limits(sys)
+    """``fit`` on a regression system built from ``ds`` that the caller keeps:
+    X is gathered back into its memory after the factorization has used it,
+    on every exit, so ``sys`` is unchanged."""
+    limits = _snap_limits(sys.y)
     try:
         theta = solve_least_squares(sys, overwrite_x=True)
     finally:
         _regather_design(ds, sys)
-    residuals, sigma, log_det = _residual_log_det(sys, theta, limits)
+    return _fit_from_theta(ds, sys.config, sys.row_start, theta, sys.y, limits)
+
+
+def _fit_from_theta(
+    ds: TimeSeriesDataset, cfg: ModelConfig, row_start: int, theta, y=None, limits=None
+) -> FitResult:
+    """The fit of ``cfg`` on the rows from ``row_start`` whose least-squares
+    coefficients are ``theta``, as ``fit`` returns it, without factoring X.
+
+    Y and its ``_snap_limits`` are taken from ``ds`` unless given; X is
+    gathered from ``ds`` one block of rows at a time for E = Y - X Theta.
+    """
+    if y is None:
+        y = _targets(ds, cfg, row_start)
+    if limits is None:
+        limits = _snap_limits(y)
+    blocks = _design_blocks(ds, cfg, row_start)
+    residuals, sigma, log_det = _residual_log_det(y, theta, limits, blocks)
     if log_det == math.inf:
         raise NumericOverflowError()
     n_params = cfg.n_dependent * cfg.n_design_columns()
@@ -217,10 +259,10 @@ def _fit_system(ds: TimeSeriesDataset, sys: RegressionSystem) -> FitResult:
         coefficients=unflatten_coefficients(theta, cfg, ds),
         residuals=residuals,
         sigma=sigma,
-        criterion_values=_criterion_map(log_det, n_params, sys.effective_t),
+        criterion_values=_criterion_map(log_det, n_params, len(y)),
         n_params=n_params,
-        effective_t=sys.effective_t,
-        row_start=sys.row_start,
+        effective_t=len(y),
+        row_start=row_start,
         log_det=log_det,
         degenerate=log_det == -math.inf,
     )

@@ -45,6 +45,7 @@ from .._blas import one_blas_thread
 from ..criteria import CriterionKind
 from ..errors import EmptySpaceError, TooLargeError
 from ..model import TimeSeriesDataset
+from ..ols import _fit_from_theta
 from .evaluation import CrossProductEvaluator, derive_candidate_seed
 from .space import SearchBudget, SearchResult, SearchSpace, _valid_configs
 
@@ -345,7 +346,8 @@ class _SearchRun(_Run):
     candidate log.  ``evaluate_batch`` screens its fresh configurations by
     ``screen_batch``, ``exhaustive_search`` by ``screen_families``, and
     ``decide`` then scores them; the limit is the size of the raw space, as
-    no genome is scored twice.
+    no genome is scored twice.  The best candidate's payload is its
+    least-squares Theta, not its fit.
     """
 
     def __init__(self, ds, space, kind, budget):
@@ -379,9 +381,9 @@ class _SearchRun(_Run):
         no candidate is scored that the search does not record."""
         for genome, cfg in fresh.items():
             best = self.best_key[0] if self.best_key is not None else None
-            value, n_params, fit_result = self.evaluator.evaluate(cfg, genome, best)
+            value, n_params, theta = self.evaluator.evaluate(cfg, genome, best)
             self.candidate_log.append((cfg, value))
-            self.record(value, (value, n_params, genome), fit_result)
+            self.record(value, (value, n_params, genome), theta)
 
     def score(self, genomes) -> list:
         self.evaluate_batch(genomes)
@@ -464,12 +466,16 @@ class _SearchRun(_Run):
         return start, dimensions + [set_bit(i) for i in range(space.n_bits)]
 
     def finalize(self, method: str) -> SearchResult:
+        """The result, with the one fit a search keeps: its winner's, from the
+        winner's Theta, bit for bit ``fit`` on the common rows."""
         if self.best is None:
             raise EmptySpaceError("no valid configuration found within the evaluation budget")
         skipped = sum(1 for _, v in self.candidate_log if math.isinf(v) and v > 0)
+        cfg = self.space.config_at(self.best_key[2], self.ds)
+        start = self.space.common_row_start
         return SearchResult(
-            best_config=self.best.config,
-            best_fit=self.best,
+            best_config=cfg,
+            best_fit=_fit_from_theta(self.ds, cfg, start, self.best),
             best_value=self.best_key[0],
             evaluations_used=self.evaluations_used,
             trajectory=list(self.trajectory),

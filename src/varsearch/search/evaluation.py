@@ -5,7 +5,8 @@ raises for a bad candidate, so the invalid-candidate convention (value
 +inf) is the same everywhere.  ``CrossProductEvaluator`` scores the
 candidates of one search from one triangular factor of all their columns,
 built once per search, and calls ``evaluate_config`` wherever its own
-value could decide something differently from QR.  ``derive_candidate_seed`` gives each
+value could decide something differently from QR, keeping its value and
+coefficients, not its fit.  ``derive_candidate_seed`` gives each
 logical random stream a seed that depends only on (master seed, stream
 id), never on call order.
 """
@@ -151,8 +152,8 @@ class CrossProductEvaluator:
     the candidate could be a new best; and when its interval meets the
     value of another cached candidate, which is then refitted by QR too if
     its own value was screened.  Every comparison a search makes therefore
-    comes out as it would on QR values, and every best value and its fit
-    come from QR.
+    comes out as it would on QR values, and every best value and its
+    coefficients come from QR.
 
     ``values`` maps a candidate's genome to ``(value, n_params)``;
     ``n_params`` is inf for a candidate without a fit.
@@ -228,8 +229,9 @@ class CrossProductEvaluator:
         """Score a candidate of the last ``screen_batch``; ``best_value`` is
         None before any.
 
-        Returns ``(value, n_params, fit_result)``; ``fit_result`` is the
-        QR fit when QR scored the candidate, else None.
+        Returns ``(value, n_params, theta)``; ``theta`` is the least-squares
+        coefficient matrix when QR scored the candidate and fitted it, else
+        None.
         """
         k, screened = self._screens.pop(genome)
         if k is None:
@@ -243,20 +245,24 @@ class CrossProductEvaluator:
                 self.values[genome] = (value, n_params)
                 self._intervals.add(low, high, genome, cfg)
                 return value, n_params, None
-        value, fit_result = self._certify(cfg, genome)
+        value, theta = self._certify(cfg, genome)
         if math.isfinite(value):
             for other, other_cfg in self._intervals.pop_screened_containing(value):
                 self._certify(other_cfg, other)
-        return value, self.values[genome][1], fit_result
+        return value, self.values[genome][1], theta
 
     def _certify(self, cfg: ModelConfig, genome):
+        """QR's value and least-squares Theta, as ``evaluate_config`` gives
+        them, Theta None where it gives no fit; the fit, E included, is
+        freed on return."""
         value, fit_result = evaluate_config(self.ds, cfg, self.kind, self.row_start)
         self.qr_fits += 1
         n_params = fit_result.n_params if fit_result is not None else math.inf
         self.values[genome] = (value, n_params)
         if math.isfinite(value):
             self._intervals.add(value, value, genome, None)
-        return value, fit_result
+        theta = fit_result.coefficients.flatten() if fit_result is not None else None
+        return value, theta
 
     def _screen(self, candidates) -> list:
         """``(value, bound)`` from the factor for each ``(cfg, k)``, or None

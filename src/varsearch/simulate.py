@@ -131,9 +131,11 @@ def _recur(coef, y, z, start: int, rng=None, noise_scale=0.0) -> None:
     # a matrix's memory layout picks its BLAS kernel, and the stack is C-order,
     # so it is used only when every A_i is; otherwise each A_i goes on its own
     stack = np.array(coef.a) if all(a.flags.c_contiguous for a in coef.a) else None
+    # one block's memory serves every block, so no block is made beside another
+    block = np.empty((p + min(_BLOCK_ROWS, len(y) - start), k, n))
     for lo in range(start, len(y), _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, len(y))
-        t = np.empty((p + hi - lo, k, n))
+        t = block[: p + hi - lo]
         t[:p, -1] = y[lo - p : lo]
         t[p:, 0] = coef.c[0] if coef.c is not None else 0.0
         for i, b in enumerate(coef.b, start=1):
@@ -188,18 +190,29 @@ def generate(spec: GeneratorSpec) -> TimeSeriesDataset:
 
     # y is written into the output's leading columns: the recursion only
     # copies rows in and out of it, so its layout reaches no product, while
-    # the B_i products read z itself, which is copied in afterwards
-    out = np.zeros((total, n + d))
+    # the B_i products read z itself, which is copied in afterwards.  The
+    # output holds the sample and the rows its first lags read, so the
+    # burn-in beyond them runs in a buffer of its own, freed before the
+    # sample is simulated; the stream is sequential, so the bits are one run's
+    lead = min(spec.burn_in, row_start)
+    skip = spec.burn_in - lead  # rows of the run before the output's first
+    out = np.zeros((lead + spec.t, n + d))
+    head = np.zeros((spec.burn_in, n)) if skip else out[:, :n]
     if spec.initial_state is not None:
-        out[:row_start, :n] = spec.initial_state
-    _recur(coef, out[:, :n], z, row_start, rng, spec.noise_scale)
-    out[:, n:] = z
-    del z  # the dataset's frozen copy is made next
+        head[:row_start] = spec.initial_state
+    if skip:
+        _recur(coef, head, z[: spec.burn_in], row_start, rng, spec.noise_scale)
+        out[:lead, :n] = head[skip:]
+        del head
+    _recur(coef, out[:, :n], z[skip:], row_start, rng, spec.noise_scale)
+    out[:, n:] = z[skip:]
+    del z
 
-    observations = out[spec.burn_in :]
+    # the dataset freezes the sample in place, keeping at most row_start
+    # rows before it
     names = [f"y{i + 1}" for i in range(n)] + [f"z{i + 1}" for i in range(d)]
     roles = (Role.DEPENDENT,) * n + (Role.INDEPENDENT,) * d
-    return TimeSeriesDataset(observations=observations, names=tuple(names), roles=roles)
+    return TimeSeriesDataset._adopt(out[lead:], names, roles)
 
 
 def random_stable_coefficients(

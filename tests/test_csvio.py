@@ -122,6 +122,25 @@ class TestRoles:
         assert excinfo.value.name == "nope"
 
 
+@pytest.mark.parametrize("plain", [True, False], ids=["loadtxt", "parser"])
+def test_load_dataset_freezes_the_matrix_it_read_in_place(tmp_path, plain):
+    path = tmp_path / "data.csv"
+    path.write_text("y,z\n1,2\n3,4\n5,6\n" if plain else "y,z\n1,2\n\n3,4\n5,6\n")
+    read = []
+    original = csvio.read_matrix_csv
+
+    def recording(source):
+        names, matrix = original(source)
+        read.append(matrix)
+        return names, matrix
+
+    with mock.patch.object(csvio, "read_matrix_csv", recording):
+        ds = load_dataset(path)
+    assert ds.observations is read[0]
+    assert not ds.observations.flags.writeable
+    np.testing.assert_array_equal(ds.observations, [[1, 2], [3, 4], [5, 6]])
+
+
 class TestFutureMatrix:
     def test_reorders_to_expected(self):
         out = load_future_matrix(

@@ -15,7 +15,7 @@ from varsearch import (
     GeneratorSpec,
 )
 
-from varsearch.design import _lag_window, _window_columns
+from varsearch.design import _PRODUCT_ROWS, _lag_window, _row_blocks, _window_columns
 
 from .conftest import make_dataset
 
@@ -161,3 +161,40 @@ def test_gather_matches_fancy_indexing_bit_for_bit(case):
     for got, expected in zip((sys.x, sys.y), _fancy_gather(ds, cfg, start)):
         assert got.shape == expected.shape and got.strides == expected.strides
         assert got.tobytes("A") == expected.tobytes("A")
+
+
+@pytest.mark.parametrize(
+    "order, roles, row_start, view",
+    [
+        ("C", (Role.DEPENDENT,) * 3, None, True),
+        ("C", (Role.DEPENDENT,) * 3, 4, True),
+        ("F", (Role.DEPENDENT,) * 3, None, False),  # other strides: gathered
+        ("C", (Role.DEPENDENT, Role.INDEPENDENT, Role.DEPENDENT), None, False),
+    ],
+)
+def test_y_is_a_read_only_view_exactly_where_every_column_is_dependent(
+    order, roles, row_start, view
+):
+    obs = np.random.default_rng(1).normal(size=(40, 3))
+    ds = make_dataset(np.asarray(obs, order=order), roles=roles)
+    mask = tuple(r is Role.DEPENDENT for r in roles)
+    cfg = ModelConfig(p=2, q=int(not all(mask)), dependent_mask=mask)
+    sys = build_regression_system(ds, cfg, row_start=row_start)
+    start = sys.row_start
+    assert np.shares_memory(sys.y, ds.observations) == view
+    assert sys.y.flags.writeable == (not view)
+    assert sys.y.strides == (8 * sum(mask), 8)
+    np.testing.assert_array_equal(sys.y, obs[start:, list(cfg.dependent_indices)])
+
+
+@pytest.mark.parametrize("rows", [1, 2, _PRODUCT_ROWS - 1, _PRODUCT_ROWS, 2 * _PRODUCT_ROWS - 1,
+                                  2 * _PRODUCT_ROWS, 3 * _PRODUCT_ROWS + 1])
+def test_row_blocks_cover_x_without_a_lone_row(rows):
+    # C order: one product over all rows; Fortran order: blocks of
+    # _PRODUCT_ROWS rows, the last taking the remainder
+    assert _row_blocks(rows, fortran=False) == [(0, rows)]
+    blocks = _row_blocks(rows, fortran=True)
+    assert blocks[0][0] == 0 and blocks[-1][1] == rows
+    assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+    sizes = [hi - lo for lo, hi in blocks]
+    assert all(min(rows, _PRODUCT_ROWS) <= size < 2 * _PRODUCT_ROWS for size in sizes)

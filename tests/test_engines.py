@@ -1135,6 +1135,79 @@ class TestCandidateScoring:
         effective_t = ds.n_obs - space.common_row_start
         assert peaks[400] - peaks[100] < 300 * effective_t * 8
 
+
+def all_dependent_problem(order):
+    """300 rows of a VAR(2) in three variables, every column dependent, held
+    in C order (Y read in place) or Fortran order (Y gathered)."""
+    ds = noisy_dataset(seed=4, n=3, p=2, t=300)
+    observations = np.asarray(ds.observations, order=order)
+    return make_dataset(observations), SearchSpace(p_max=4)
+
+
+WINNER_PROBLEMS = {
+    "small-space": small_space_problem,
+    "random-walk": random_walk_problem,
+    "c-order": lambda: all_dependent_problem("C"),
+    "fortran-order": lambda: all_dependent_problem("F"),
+}
+
+
+def assert_same_fit(got, want):
+    """Coefficients, residuals, sigma, ln det and criteria, bit for bit."""
+    assert got.config == want.config
+    for a, b in [(got.coefficients.flatten(), want.coefficients.flatten()),
+                 (got.residuals, want.residuals), (got.sigma, want.sigma)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.float64(got.log_det).tobytes() == np.float64(want.log_det).tobytes()
+    kinds = list(CriterionKind)
+    values = [np.array([f.criterion_values[k] for k in kinds]) for f in (got, want)]
+    assert values[0].tobytes() == values[1].tobytes()
+    assert (got.n_params, got.effective_t, got.row_start, got.degenerate) == (
+        want.n_params, want.effective_t, want.row_start, want.degenerate
+    )
+
+
+class TestWinnerFit:
+    @pytest.mark.parametrize("problem", list(WINNER_PROBLEMS))
+    @pytest.mark.parametrize("engine", [exhaustive_search] + METAHEURISTICS)
+    def test_best_fit_is_the_fit_of_the_best_config(self, problem, engine):
+        # a search keeps its winner's Theta and builds the fit once, at the end
+        ds, space = WINNER_PROBLEMS[problem]()
+        if problem == "c-order":
+            assert ds.observations.flags.c_contiguous
+        if problem == "fortran-order":
+            assert not ds.observations.flags.c_contiguous
+        args = () if engine is exhaustive_search else (SearchBudget(40, 20, 5),)
+        result = engine(ds, space, CriterionKind.BIC, *args)
+        want = fit(ds, result.best_config, row_start=space.common_row_start)
+        assert_same_fit(result.best_fit, want)
+        assert result.best_value == want.criterion(CriterionKind.BIC)
+
+    def test_an_exhaustive_search_holds_one_residual_matrix(self, monkeypatch):
+        # T' = 20,000 rows of four dependent series: Y is read in place, and
+        # a certification frees its E before the next, so the search holds X
+        # of the widest certified design and one E, K_c + n columns, at most
+        certified = []
+        original = CrossProductEvaluator._certify
+
+        def spying(self, cfg, genome):
+            certified.append(cfg.n_design_columns())
+            return original(self, cfg, genome)
+
+        monkeypatch.setattr(CrossProductEvaluator, "_certify", spying)
+        ds = noisy_dataset(seed=5, n=4, p=2, t=20_003)
+        space = SearchSpace(p_max=3)
+        tracemalloc.start()
+        try:
+            result = exhaustive_search(ds, space, CriterionKind.BIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        t, n = result.best_fit.effective_t, 4
+        assert t == 20_000 and len(certified) >= 2
+        assert peak <= (max(certified) + n) * t * 8 + 64 * 1024
+
+
 class TestSeedDerivation:
     def test_deterministic(self):
         assert derive_candidate_seed(42, 7) == derive_candidate_seed(42, 7)

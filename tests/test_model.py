@@ -51,6 +51,15 @@ class TestTimeSeriesDataset:
         with pytest.raises(ValueError):
             ds.observations[0, 0] = 9.0
 
+    def test_the_constructor_copies_the_callers_array(self):
+        # only load_dataset and generate hand their own matrix over
+        for values in (np.ones((5, 2)), np.asfortranarray(np.ones((5, 2)))):
+            ds = make_dataset(values)
+            assert not np.shares_memory(ds.observations, values)
+            assert values.flags.writeable
+            values[0, 0] = 9.0
+            assert ds.observations[0, 0] == 1.0
+
 
 class TestValidateConfig:
     def test_smallest_determined_system_is_ok(self):

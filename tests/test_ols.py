@@ -126,6 +126,40 @@ def test_a_fit_holds_its_design_or_its_q_never_both():
     assert result.residuals.tobytes() == first.residuals.tobytes()
 
 
+def test_a_fit_never_holds_its_design_and_its_residuals_at_once():
+    # Y is read in place, X (or its Q) is freed before E is made, and E is
+    # taken over blocks of X gathered again: K T' doubles at most, where the
+    # design and E at once would add n T' more
+    ds = noisy_dataset(seed=5, n=4, p=2, t=20_002)
+    cfg = ModelConfig(p=2, q=0, dependent_mask=(True,) * 4)
+    fit(ds, cfg)
+    tracemalloc.start()
+    try:
+        result = fit(ds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t, k = result.effective_t, cfg.n_design_columns()
+    assert (t, k) == (20_000, 9)
+    assert peak <= k * t * 8 + FIT_SLACK
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (3, 3), (4, 2)])
+def test_blocked_residuals_are_the_whole_product_bit_for_bit(n, p):
+    # E = Y - X Theta is taken over blocks of rows of a Fortran-ordered X,
+    # and is the same to the bit as one product over all of X
+    ds = noisy_dataset(seed=n + p, n=n, p=p, d=1, q=1, t=3 * 4096 + 50)
+    cfg = ModelConfig(p=p, q=1, dependent_mask=(True,) * n + (False,))
+    sys = build_regression_system(ds, cfg)
+    assert sys.x.flags.f_contiguous and not sys.x.flags.c_contiguous
+    result = fit(ds, cfg)
+    whole = sys.y - sys.x @ result.coefficients.flatten()
+    assert result.residuals.tobytes() == whole.tobytes()
+    residuals, sigma = residual_covariance(sys, result.coefficients.flatten())
+    assert residuals.tobytes() == whole.tobytes()
+    assert sigma.tobytes() == result.sigma.tobytes()
+
+
 class TestUnflatten:
     def test_univariate_blocks(self, counting_series, counting_config):
         coef = unflatten_coefficients(

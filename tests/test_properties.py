@@ -72,7 +72,9 @@ class QROnlyEvaluator:
         value, fit_result = self.table.get(cfg, (math.inf, None))
         n_params = fit_result.n_params if fit_result is not None else math.inf
         self.values[order] = (value, n_params)
-        return value, n_params, fit_result
+        # the least-squares coefficients, which a search keeps for its winner
+        theta = fit_result.coefficients.flatten() if fit_result is not None else None
+        return value, n_params, theta
 
 
 def _outcome(search, *args):

@@ -394,9 +394,11 @@ def test_generate_is_bit_identical_to_the_row_loop(spec):
 
 
 @pytest.mark.parametrize("d, q", [(0, 0), (2, 1)])
-def test_generate_holds_the_output_and_the_datasets_copy(d, q):
-    # the output, burn-in included, and the dataset's frozen copy of its
-    # sample: two copies of the series, plus one `_BLOCK_ROWS` block of rows
+def test_generate_holds_the_output_once(d, q):
+    # the dataset freezes the output's sample in place, so generate holds the
+    # burn-in's buffer, the output, the random walk it copies in, and the
+    # block recursion's work: one block of (p + _BLOCK_ROWS) rows of 2 + p + q
+    # terms, which every block reuses, and a block's products and noise
     coef = random_stable_coefficients(n=4, p=2, d=d, q=q, seed=1)
     spec = GeneratorSpec(coef, t=100_000, seed=3, exogenous="random_walk" if q else None)
     tracemalloc.start()
@@ -405,8 +407,22 @@ def test_generate_holds_the_output_and_the_datasets_copy(d, q):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row = ds.observations[0].nbytes
-    assert peak <= 2 * (spec.burn_in + spec.t) * row + _BLOCK_ROWS * row
+    rows, n = spec.burn_in + spec.t, 4
+    block = (2 + _BLOCK_ROWS) * (2 + 2 + q) * n * 8
+    assert ds.observations.shape == (spec.t, n + d)
+    assert peak <= rows * (n + 2 * d) * 8 + 2 * block
+
+
+def test_the_dataset_keeps_no_burn_in_rows():
+    # the burn-in runs in a buffer of its own; the dataset's array holds the
+    # sample and at most the row_start = 1 rows its first lags read
+    coef = random_stable_coefficients(n=2, p=1, seed=2)
+    for burn_in in (0, 1, 50, 500):
+        ds = generate(GeneratorSpec(coef, t=60, burn_in=burn_in, seed=4))
+        obs = ds.observations
+        assert obs.shape == (60, 2)
+        assert (obs if obs.base is None else obs.base).shape[0] <= 61
+        assert not obs.flags.writeable
 
 
 @settings(max_examples=20, deadline=None)
