@@ -38,9 +38,9 @@ from .errors import VarsearchError
 from .model import CoefficientSet, ModelConfig, TimeSeriesDataset
 from .ols import (
     _criterion_map,
-    _fit_system,
     _residual_log_det,
     _snap_limits,
+    fit,
     solve_least_squares,
     unflatten_coefficients,
 )
@@ -417,21 +417,25 @@ def compare_with_ols(
 ) -> ComparisonReport:
     """Search coefficient space and report the gap to least squares.
 
-    Both sides are scored on the search's regression system, built once,
-    with the same parameter count, and ``fit`` scores its residuals with the
-    function the search scores with, so the gap isolates optimizer quality.
-    As least squares is fitted after the search, a configuration it cannot
-    fit (rank deficient, or T' <= K) raises once the search has run.
+    The search side is ``search_coefficients_full``'s outcome and the
+    least-squares side ``fit(ds, cfg)``'s, bit for bit: both score the rows
+    from ``cfg``'s row start with the same parameter count and residual
+    scorer, so the gap isolates optimizer quality.  The search's system is
+    freed before ``fit`` builds its own.  As least squares is fitted after
+    the search, a configuration it cannot fit (rank deficient, or T' <= K)
+    raises once the search has run.
     """
     outcome, problem = _search(ds, cfg, kind, method, budget, params)
-    ols_fit = _fit_system(ds, problem.system)
+    search_criteria = problem.criteria(outcome.theta)
+    del problem  # the search's X, before fit builds its own
+    ols_fit = fit(ds, cfg)
     theta_ols = ols_fit.coefficients.flatten().reshape(-1)
     ols_value = ols_fit.criterion(kind)
     gap = 0.0 if ols_fit.degenerate else outcome.value - ols_value
     distance = float(np.linalg.norm(outcome.theta - theta_ols))
     per_criterion = {
         "ols": {k.value: value for k, value in ols_fit.criterion_values.items()},
-        "search": problem.criteria(outcome.theta),
+        "search": search_criteria,
     }
     return ComparisonReport(
         config=cfg,
@@ -446,5 +450,5 @@ def compare_with_ols(
         degenerate=ols_fit.degenerate,
         ols_coefficients=ols_fit.coefficients,
         search_coefficients=outcome.coefficients,
-        effective_t=problem.system.effective_t,
+        effective_t=ols_fit.effective_t,
     )

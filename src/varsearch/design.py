@@ -137,12 +137,6 @@ def _gather(out, ds: TimeSeriesDataset, start: int, columns) -> None:
     out[:, len(columns) :] = 1.0
 
 
-def _regather_design(ds: TimeSeriesDataset, sys: RegressionSystem) -> None:
-    """Write the design X of ``sys``, built from ``ds``, into ``sys.x`` again,
-    bit for bit, after a factorization has used its memory."""
-    _gather(sys.x, ds, sys.row_start, _window_columns(sys.config, ds.n_vars)[0])
-
-
 def _row_blocks(n_rows: int, fortran: bool):
     """``(lo, hi)`` row ranges over which X Theta is taken: ``_PRODUCT_ROWS``
     rows each, the last also taking the remainder, for a Fortran-ordered X;

@@ -19,7 +19,6 @@ from .criteria import CriterionKind, _log_det_symmetric, criterion_from_log_det
 from .design import (
     RegressionSystem,
     _design_blocks,
-    _regather_design,
     _system_blocks,
     _targets,
     build_regression_system,
@@ -222,18 +221,6 @@ def fit(ds: TimeSeriesDataset, cfg: ModelConfig, row_start=None) -> FitResult:
     theta = solve_least_squares(sys, overwrite_x=True)
     del sys  # X, which holds Q now
     return _fit_from_theta(ds, cfg, start, theta, y, limits)
-
-
-def _fit_system(ds: TimeSeriesDataset, sys: RegressionSystem) -> FitResult:
-    """``fit`` on a regression system built from ``ds`` that the caller keeps:
-    X is gathered back into its memory after the factorization has used it,
-    on every exit, so ``sys`` is unchanged."""
-    limits = _snap_limits(sys.y)
-    try:
-        theta = solve_least_squares(sys, overwrite_x=True)
-    finally:
-        _regather_design(ds, sys)
-    return _fit_from_theta(ds, sys.config, sys.row_start, theta, sys.y, limits)
 
 
 def _fit_from_theta(

@@ -56,9 +56,13 @@ def derive_candidate_seed(master_seed: int, stream_id: int) -> int:
 
     SplitMix64 finalizer applied to ``master_seed XOR stream_id * gamma``,
     all arithmetic mod 2**64.  The same (master_seed, stream_id) pair
-    always yields the same seed regardless of call order.
+    always yields the same seed regardless of call order.  Raises
+    ``ValueError``, as ``SearchBudget`` does, for a ``master_seed`` outside
+    [0, 2**64), which reduced mod 2**64 would alias one inside.
     """
-    z = (master_seed ^ ((stream_id * _GAMMA) & _MASK64)) & _MASK64
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError("master_seed must be an unsigned 64-bit integer")
+    z = master_seed ^ ((stream_id * _GAMMA) & _MASK64)
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64

@@ -265,6 +265,19 @@ class TestSimulate:
         assert cli_main(["simulate", "--n-vars", "1", "--t", "5", *sizes]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_a_seed_outside_64_bits_errors(self, tmp_path, capsys):
+        # -1 and 2**64 would alias 2**64 - 1 and 0, yet the report records
+        # each seed as typed, so they are refused as select refuses them
+        argv = ["simulate", "--n-vars", "1", "--t", "20", "--out"]
+        for seed in (-1, 2**64):
+            path = tmp_path / f"refused{seed}.csv"
+            assert cli_main(argv + [str(path), "--seed", str(seed)]) == 2
+            assert "unsigned 64-bit" in capsys.readouterr().err
+            assert not path.exists()
+        path = tmp_path / "largest.csv"
+        assert cli_main(argv + [str(path), "--seed", str(2**64 - 1)]) == 0
+        assert read_matrix_csv(path)[1].shape == (20, 1)
+
 
 class TestForecast:
     def test_counting_series_forecast(self, counting_csv, tmp_path, capsys):

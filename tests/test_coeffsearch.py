@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -404,24 +405,23 @@ class TestCompareWithOls:
         assert report.per_criterion["ols"]["bic"] == report.ols_value
         assert report.coefficient_distance >= 0.0
 
-    def test_builds_one_system_and_matches_fit_and_search(self, monkeypatch):
-        # both sides score on the search's regression system; each answer is
-        # what fit and search_coefficients_full give when called on their own
-        ds = noisy_dataset(seed=9, n=3, p=2, t=300, noise=0.5)
-        cfg = ModelConfig(p=2, q=0, dependent_mask=(True, True, True))
+    @pytest.mark.parametrize(
+        "data, cfg",
+        [
+            # Fortran-ordered X, Y a view of the observations
+            ((9, 3, 2, 0, 0), ModelConfig(p=2, q=0, dependent_mask=(True,) * 3)),
+            # C-ordered X: one dependent and one independent variable
+            ((10, 1, 2, 1, 1), ModelConfig(p=2, q=1, dependent_mask=(True, False))),
+            # Fortran-ordered X, Y gathered as a column is independent
+            ((11, 2, 2, 1, 1), ModelConfig(p=2, q=1, dependent_mask=(True, True, False))),
+        ],
+    )
+    def test_answers_are_fit_and_search_bit_for_bit(self, data, cfg):
+        # each side is what fit and search_coefficients_full give on their own
+        seed, n, p, d, q = data
+        ds = noisy_dataset(seed=seed, n=n, p=p, d=d, q=q, t=300, noise=0.5)
         budget = SearchBudget(120, master_seed=4)
-        builds = []
-        build = coeffsearch.build_regression_system
-
-        def spy(*args, **kwargs):
-            builds.append(args)
-            return build(*args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(coeffsearch, "build_regression_system", spy)
-            patch.setattr(ols, "build_regression_system", spy)
-            report = compare_with_ols(ds, cfg, CriterionKind.HQC, SearchMethod.GA, budget)
-        assert len(builds) == 1
+        report = compare_with_ols(ds, cfg, CriterionKind.HQC, SearchMethod.GA, budget)
         ols_fit = fit(ds, cfg)
         outcome = search_coefficients_full(
             ds, cfg, CriterionKind.HQC, SearchMethod.GA, budget
@@ -434,6 +434,7 @@ class TestCompareWithOls:
             ols_fit.coefficients.flatten().tobytes()
         )
         assert report.search_value == outcome.value
+        assert report.per_criterion["search"]["hqc"] == outcome.value
         assert report.search_coefficients.flatten().tobytes() == (
             outcome.coefficients.flatten().tobytes()
         )
@@ -441,16 +442,16 @@ class TestCompareWithOls:
         assert report.effective_t == ols_fit.effective_t
 
     @pytest.mark.parametrize("deficient", [False, True])
-    def test_the_fit_leaves_the_search_system_as_it_was(self, monkeypatch, deficient):
-        # the fit factors X in its own memory and gathers it back, also when
-        # the rank test raises after factoring; v2 a copy of v1 makes the
-        # lag-1 block of X deficient
+    def test_the_search_system_is_never_written(self, monkeypatch, deficient):
+        # the fit factors a design of its own in place, also when the rank
+        # test raises after factoring; v2 a copy of v1 makes the lag-1 block
+        # of X deficient
         obs = np.random.default_rng(2).normal(size=(80, 2))
         if deficient:
             obs[:, 1] = obs[:, 0]
         ds = make_dataset(obs)
         cfg = ModelConfig(p=1, q=0, dependent_mask=(True, True))
-        built, in_place = [], []
+        built, factored = [], []
         build, factor = coeffsearch.build_regression_system, ols.qr_pivoted
 
         def spy_build(*args, **kwargs):
@@ -459,9 +460,8 @@ class TestCompareWithOls:
             return sys
 
         def spy_factor(x, overwrite_x=False):
-            q, r, piv = factor(x, overwrite_x)
-            in_place.append(np.shares_memory(q, built[0][0].x))
-            return q, r, piv
+            factored.append(np.shares_memory(x, built[0][0].x))
+            return factor(x, overwrite_x)
 
         monkeypatch.setattr(coeffsearch, "build_regression_system", spy_build)
         monkeypatch.setattr(ols, "qr_pivoted", spy_factor)
@@ -472,15 +472,38 @@ class TestCompareWithOls:
         else:
             compare_with_ols(*args)
         [(sys, x_bytes, strides)] = built
-        assert in_place == [True]
+        assert factored == [False]
         assert (sys.x.tobytes("A"), sys.x.strides) == (x_bytes, strides)
+
+    def test_the_search_design_is_freed_before_the_fit_builds(self, monkeypatch):
+        # the two designs are never held at once
+        ds = noisy_dataset(seed=12, n=2, p=1, t=200, noise=0.5)
+        cfg = ModelConfig(p=2, q=0, dependent_mask=(True, True))
+        searched, alive_at_fit = [], []
+        build = coeffsearch.build_regression_system
+
+        def spy_search_build(*args, **kwargs):
+            sys = build(*args, **kwargs)
+            searched.append(weakref.ref(sys.x))
+            return sys
+
+        def spy_fit_build(*args, **kwargs):
+            alive_at_fit.append([ref() is not None for ref in searched])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(coeffsearch, "build_regression_system", spy_search_build)
+        monkeypatch.setattr(ols, "build_regression_system", spy_fit_build)
+        compare_with_ols(
+            ds, cfg, CriterionKind.BIC, SearchMethod.TABU, SearchBudget(60, master_seed=2)
+        )
+        assert alive_at_fit == [[False]]
 
     @pytest.mark.parametrize(
         "values, error",
         [(np.zeros((30, 2)), RankDeficientError), (np.eye(5, 2), ValidationError)],
     )
     def test_raises_what_fit_raises(self, values, error):
-        # least squares is fitted after the search, on the search's system
+        # least squares is fitted after the search, by fit itself
         ds = make_dataset(values)
         cfg = ModelConfig(p=2, q=0, dependent_mask=(True, True))
         with pytest.raises(error):

@@ -1224,3 +1224,12 @@ class TestSeedDerivation:
         for stream in range(100):
             value = derive_candidate_seed(2**63, stream)
             assert 0 <= value < 2**64
+
+    @pytest.mark.parametrize("master", [-1, 2**64])
+    def test_refuses_a_master_seed_outside_64_bits(self, master):
+        # reduced mod 2**64 it would alias a seed inside; SearchBudget refuses it
+        with pytest.raises(ValueError) as refused_by_budget:
+            SearchBudget(10, master_seed=master)
+        with pytest.raises(ValueError) as refused:
+            derive_candidate_seed(master, 0)
+        assert str(refused.value) == str(refused_by_budget.value)
